@@ -18,7 +18,7 @@ from linksgould import run_suite
 from linksgould.verify import SUITES
 
 for name in sorted(SUITES):
-    report = run_suite(name, jobs=2)
+    report = run_suite(name)
     counts = report.counts
     status = "ok " if report.passed else "FAIL"
     print(

@@ -4,8 +4,9 @@ Alexander-Conway polynomial.
 
 The package has four layers:
 
-- exact algebra: ``Laurent2``, ``RationalFn``, ``HalfLaurent``,
-  ``CycloFraction`` and root-of-unity reduction;
+- exact algebra: ``Laurent2`` and ``HalfLaurent`` (two key types over
+  one sparse Laurent core), ``RationalFn``, ``CycloFraction`` and
+  root-of-unity reduction;
 - the spectral calculus of LG^(m,1): eigenvalues, projector traces,
   closed 2-braid values;
 - a skein engine for the Alexander-Conway polynomial of braid closures;
@@ -16,7 +17,7 @@ The package has four layers:
 zero-tolerance exact comparisons.
 """
 from .braid import BraidWord, parse_braid
-from .conway import ResolutionNode, conway, conway_substituted
+from .conway import conway, conway_substituted
 from .cyclotomic import CycloFraction, cyclotomic_poly, reduce_at_root, root_order
 from .diagram import (
     OrientedDiagram,
@@ -36,7 +37,7 @@ from .errors import (
     ParseError,
     PoleAtRootError,
 )
-from .laurent import HalfLaurent, Laurent2, involution_q
+from .laurent import HalfLaurent, Laurent2
 from .rational import RationalFn, laurent_gcd
 from .sliced import Piece, SlicedDiagram, to_sliced
 from .spectral import (
@@ -79,7 +80,6 @@ __all__ = [
     "HalfLaurent",
     "RationalFn",
     "CycloFraction",
-    "involution_q",
     "laurent_gcd",
     "cyclotomic_poly",
     "reduce_at_root",
@@ -112,7 +112,6 @@ __all__ = [
     "is_split",
     "canonical_key",
     "writhe",
-    "ResolutionNode",
     "conway",
     "conway_substituted",
     "Piece",

@@ -4,7 +4,7 @@ Command-line front end.
 Commands:
   alexander <braid> [--strands N] [--var auto|s|t] [--budget B]
   lg2braid --m M --k K [--root R]
-  verify <suite> [--max-m M] [--max-k K] [--jobs J] [--format text|json]
+  verify <suite> [--max-m M] [--max-k K] [--format text|json]
   tensor eval --braid WORD [--fixture FILE] [--strands N]
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument(
         "--inject-xi-error",
@@ -122,7 +121,6 @@ def _cmd_verify(args) -> int:
         args.suite,
         max_m=args.max_m,
         max_k=args.max_k,
-        jobs=max(1, args.jobs),
         corrupt_eigenvalues=args.inject_xi_error,
     )
     if args.format == "json":

@@ -20,8 +20,6 @@ branches, which is the termination measure.  Values are memoized on
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (
     OrientedDiagram,
     canonical_key,
@@ -33,24 +31,11 @@ from .diagram import (
 from .errors import CrossingBudgetError
 from .laurent import HalfLaurent, Laurent2
 
-__all__ = ["ResolutionNode", "conway", "conway_substituted", "first_violation"]
+__all__ = ["conway", "conway_substituted", "first_violation"]
 
 DEFAULT_CROSSING_BUDGET = 64
 
 _SKEIN = HalfLaurent.s() - HalfLaurent.s(-1)
-
-
-@dataclass(frozen=True)
-class ResolutionNode:
-    """
-    A frame of the resolution tree: the diagram still to be resolved, the
-    accumulated path weight (product of edge multipliers from the root,
-    never zero), and the tree depth.
-    """
-
-    diagram: OrientedDiagram
-    multiplier: HalfLaurent
-    depth: int
 
 
 def first_violation(d: OrientedDiagram) -> int | None:
@@ -88,49 +73,37 @@ def conway(
     resolution (surgery never increases it); exceeding the cap raises
     CrossingBudgetError rather than silently truncating.
 
-    The memo table is local to one call; diagrams are immutable, so the
-    two skein branches could be resolved concurrently as long as the
-    table offers atomic get-or-insert (a plain dict does under CPython).
+    The memo table is local to one call.
     """
     if len(d.crossings) > budget:
         raise CrossingBudgetError(
             f"{len(d.crossings)} crossings exceed the budget of {budget}"
         )
     memo: dict[str, HalfLaurent] = {}
-    root = ResolutionNode(d, HalfLaurent.one(), 0)
-    stack: list[tuple[ResolutionNode, tuple[str, str, HalfLaurent] | None]] = [
-        (root, None)
+    stack: list[tuple[OrientedDiagram, tuple[str, str, HalfLaurent] | None]] = [
+        (d, None)
     ]
     while stack:
-        node, prepared = stack.pop()
-        key = canonical_key(node.diagram)
+        diagram, prepared = stack.pop()
+        key = canonical_key(diagram)
         if prepared is not None:
             skey, mkey, edge = prepared
             memo[key] = memo[skey] + edge * memo[mkey]
             continue
         if key in memo:
             continue
-        base = _base_value(node.diagram)
+        base = _base_value(diagram)
         if base is not None:
             memo[key] = base
             continue
-        cid = first_violation(node.diagram)
-        sign = node.diagram.sign_of(cid)
-        switched = switch_crossing(node.diagram, cid)
-        smoothed = smooth_crossing(node.diagram, cid)
+        cid = first_violation(diagram)
+        sign = diagram.sign_of(cid)
+        switched = switch_crossing(diagram, cid)
+        smoothed = smooth_crossing(diagram, cid)
         edge = _SKEIN if sign > 0 else -_SKEIN
-        stack.append((node, (canonical_key(switched), canonical_key(smoothed), edge)))
-        stack.append(
-            (ResolutionNode(switched, node.multiplier, node.depth + 1), None)
-        )
-        stack.append(
-            (
-                ResolutionNode(
-                    smoothed, node.multiplier * edge, node.depth + 1
-                ),
-                None,
-            )
-        )
+        stack.append((diagram, (canonical_key(switched), canonical_key(smoothed), edge)))
+        stack.append((switched, None))
+        stack.append((smoothed, None))
     return memo[canonical_key(d)]
 
 

@@ -15,25 +15,9 @@ from math import gcd
 
 from .errors import PoleAtRootError
 from .laurent import Laurent2
-from .rational import RationalFn
+from .rational import RationalFn, _z_exact_div
 
 __all__ = ["cyclotomic_poly", "CycloFraction", "reduce_at_root", "root_order"]
-
-
-def _poly_exact_div(f: list[int], g: list[int]) -> list[int]:
-    """Exact division of dense integer polynomials (ascending)."""
-    out = [0] * (len(f) - len(g) + 1)
-    rem = f[:]
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[len(g) - 1 + i]
-        if c % g[-1]:
-            raise ArithmeticError("inexact cyclotomic division")
-        out[i] = c // g[-1]
-        for j, b in enumerate(g):
-            rem[i + j] -= out[i] * b
-    if any(rem):
-        raise ArithmeticError("inexact cyclotomic division")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +28,7 @@ def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            poly = _poly_exact_div(poly, list(_cyclotomic_coeffs(e)))
+            poly = _z_exact_div(poly, list(_cyclotomic_coeffs(e)))
     return tuple(poly)
 
 

@@ -1,15 +1,16 @@
 """
 Exact Laurent polynomials over the integers.
 
-Two value types live here:
+Two value types live here, both thin subclasses of one sparse core that
+stores a map from exponent keys to nonzero integer coefficients:
 
 - ``Laurent2``: a Laurent polynomial in the two commuting variables ``t``
-  and ``q`` (both invertible), stored as a map from exponent pairs to
-  nonzero integer coefficients.  This is the ambient ring for the whole
-  spectral calculus.
+  and ``q`` (both invertible), keyed by exponent pairs.  This is the
+  ambient ring for the whole spectral calculus.
 - ``HalfLaurent``: a Laurent polynomial in a single variable ``s`` with
-  the convention ``s^2 = t``; it carries Alexander-Conway values, where
-  half-integer powers of ``t`` are unavoidable for links.
+  the convention ``s^2 = t``, keyed by int exponents; it carries
+  Alexander-Conway values, where half-integer powers of ``t`` are
+  unavoidable for links.
 
 All values are immutable and hashable; arithmetic always returns
 canonical forms (no explicit zero coefficients are ever stored), so two
@@ -18,9 +19,11 @@ values are equal exactly when their term maps are equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import neg
 from typing import Iterable, Mapping
 
-__all__ = ["Laurent2", "HalfLaurent", "involution_q"]
+__all__ = ["Laurent2", "HalfLaurent"]
 
 
 def _join_terms(parts: list[tuple[int, str]]) -> str:
@@ -46,7 +49,144 @@ def _var_power(name: str, e: int) -> str:
     return f"{name}^{e}"
 
 
-class Laurent2:
+class _SparseLaurent:
+    """
+    The key-independent part of a sparse integer Laurent polynomial.
+
+    A subclass names the exponent key of the constant term (``_UNIT``),
+    how to normalize a key (``_key``) and how to invert one
+    (``_neg_key``), and supplies its own ``__mul__`` and ``render``.
+    """
+
+    __slots__ = ("_terms",)
+
+    _UNIT: object
+
+    def __init__(self, terms: Mapping | None = None):
+        clean = {}
+        if terms:
+            key = self._key
+            for e, c in terms.items():
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficient {c!r} is not an integer")
+                if c != 0:
+                    clean[key(e)] = c
+        self._terms = clean
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        """Wrap an already-clean term map without copying."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        return p
+
+    def _coerce(self, x):
+        if isinstance(x, type(self)):
+            return x
+        if isinstance(x, int):
+            return self.const(x)
+        raise TypeError(f"cannot mix {type(self).__name__} with {type(x).__name__}")
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({cls._UNIT: 1})
+
+    @classmethod
+    def const(cls, n: int):
+        return cls({cls._UNIT: n})
+
+    # -- inspection --------------------------------------------------------
+
+    def terms(self) -> Iterable:
+        return self._terms.items()
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_one(self) -> bool:
+        return self._terms == {self._UNIT: 1}
+
+    def is_monomial(self) -> bool:
+        return len(self._terms) == 1
+
+    def content(self) -> int:
+        """gcd of the absolute coefficients (0 for the zero polynomial)."""
+        return gcd(*self._terms.values())
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return self._raw(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return self._raw({e: -c for e, c in self._terms.items()})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.monomial_inverse() ** (-n)
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def monomial_inverse(self):
+        """Inverse of a unit monomial (coefficient must be +-1)."""
+        if len(self._terms) != 1:
+            raise ValueError(f"{self} is not a monomial")
+        (e, c), = self._terms.items()
+        if c not in (1, -1):
+            raise ValueError(f"{self} is not a unit monomial")
+        return self._raw({self._neg_key(e): c})
+
+    # -- text and comparisons ----------------------------------------------
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+
+class Laurent2(_SparseLaurent):
     """
     An integer Laurent polynomial in ``t`` and ``q``.
 
@@ -58,31 +198,20 @@ class Laurent2:
     Laurent2('0')
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (et, eq), c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError(f"coefficient {c!r} is not an integer")
-                if c != 0:
-                    clean[(int(et), int(eq))] = c
-        self._terms = clean
+    _UNIT = (0, 0)
+
+    @staticmethod
+    def _key(e) -> tuple[int, int]:
+        et, eq = e
+        return (int(et), int(eq))
+
+    @staticmethod
+    def _neg_key(e: tuple[int, int]) -> tuple[int, int]:
+        return (-e[0], -e[1])
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> Laurent2:
-        return cls()
-
-    @classmethod
-    def one(cls) -> Laurent2:
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def const(cls, n: int) -> Laurent2:
-        return cls({(0, 0): n})
 
     @classmethod
     def term(cls, coeff: int, et: int = 0, eq: int = 0) -> Laurent2:
@@ -99,21 +228,6 @@ class Laurent2:
         return cls({(0, e): 1})
 
     # -- inspection --------------------------------------------------------
-
-    def terms(self) -> Iterable[tuple[tuple[int, int], int]]:
-        return self._terms.items()
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {(0, 0): 1}
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def is_q_free(self) -> bool:
         return all(eq == 0 for (_, eq) in self._terms)
@@ -138,15 +252,6 @@ class Laurent2:
             max(eq for (_, eq) in self._terms),
         )
 
-    def content(self) -> int:
-        """gcd of the absolute coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._terms.values():
-            g = _gcd_int(g, abs(c))
-            if g == 1:
-                return 1
-        return g
-
     def leading_term(self) -> tuple[tuple[int, int], int]:
         """Term with the lexicographically largest (t, q) exponent pair."""
         if not self._terms:
@@ -156,30 +261,8 @@ class Laurent2:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: Laurent2 | int) -> Laurent2:
-        other = _coerce(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _raw(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Laurent2 | int) -> Laurent2:
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: Laurent2 | int) -> Laurent2:
-        return _coerce(other) - self
-
-    def __neg__(self) -> Laurent2:
-        return _raw({e: -c for e, c in self._terms.items()})
-
     def __mul__(self, other: Laurent2 | int) -> Laurent2:
-        other = _coerce(other)
+        other = self._coerce(other)
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
@@ -189,34 +272,13 @@ class Laurent2:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return _raw(out)
+        return self._raw(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> Laurent2:
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        result = Laurent2.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def monomial_inverse(self) -> Laurent2:
-        """Inverse of a unit monomial (coefficient must be +-1)."""
-        if len(self._terms) != 1:
-            raise ValueError(f"{self} is not a monomial")
-        ((et, eq), c), = self._terms.items()
-        if c not in (1, -1):
-            raise ValueError(f"{self} is not a unit monomial")
-        return _raw({(-et, -eq): c})
-
     def shifted(self, dt: int, dq: int) -> Laurent2:
         """Multiply by the monomial t^dt q^dq."""
-        return _raw({(et + dt, eq + dq): c for (et, eq), c in self._terms.items()})
+        return self._raw({(et + dt, eq + dq): c for (et, eq), c in self._terms.items()})
 
     def exact_div(self, other: Laurent2) -> Laurent2:
         """
@@ -236,7 +298,7 @@ class Laurent2:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return Laurent2.zero()
+            return self.zero()
         smt, smq = self.min_exponents()
         omt, omq = other.min_exponents()
         g = other.shifted(-omt, -omq)
@@ -258,7 +320,7 @@ class Laurent2:
                     rem[ee] = s
                 else:
                     rem.pop(ee, None)
-        return _raw(quo).shifted(smt - omt, smq - omq)
+        return self._raw(quo).shifted(smt - omt, smq - omq)
 
     def divides(self, other: Laurent2) -> bool:
         try:
@@ -271,7 +333,7 @@ class Laurent2:
 
     def invert_q(self) -> Laurent2:
         """Substitute q -> q^-1 (a self-inverse ring automorphism)."""
-        return _raw({(et, -eq): c for (et, eq), c in self._terms.items()})
+        return self._raw({(et, -eq): c for (et, eq), c in self._terms.items()})
 
     def evaluate(self, t: Fraction | int, q: Fraction | int) -> Fraction:
         """Evaluate at exact rational (nonzero) values of t and q."""
@@ -282,8 +344,6 @@ class Laurent2:
             total += c * t**et * q**eq
         return total
 
-    # -- text --------------------------------------------------------------
-
     def render(self) -> str:
         parts = []
         for (et, eq) in sorted(self._terms, reverse=True):
@@ -291,56 +351,8 @@ class Laurent2:
             parts.append((self._terms[(et, eq)], mono))
         return _join_terms(parts)
 
-    def __str__(self) -> str:
-        return self.render()
 
-    def __repr__(self) -> str:
-        return f"Laurent2({self.render()!r})"
-
-    # -- comparisons -------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Laurent2.const(other)
-        if not isinstance(other, Laurent2):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-
-def _raw(terms: dict[tuple[int, int], int]) -> Laurent2:
-    """Wrap an already-clean term map without copying."""
-    p = Laurent2.__new__(Laurent2)
-    p._terms = terms
-    return p
-
-
-def _coerce(x: Laurent2 | int) -> Laurent2:
-    if isinstance(x, Laurent2):
-        return x
-    if isinstance(x, int):
-        return Laurent2.const(x)
-    raise TypeError(f"cannot mix Laurent2 with {type(x).__name__}")
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def involution_q(x):
-    """
-    The substitution q -> q^-1, on any value that supports it.
-
-    Applying it twice is the identity, and t-only values are fixed.
-    """
-    return x.invert_q()
-
-
-class HalfLaurent:
+class HalfLaurent(_SparseLaurent):
     """
     An integer Laurent polynomial in ``s``, where ``s^2 = t``.
 
@@ -354,70 +366,21 @@ class HalfLaurent:
     t + t^-1
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError(f"coefficient {c!r} is not an integer")
-                if c != 0:
-                    clean[int(e)] = c
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> HalfLaurent:
-        return cls()
-
-    @classmethod
-    def one(cls) -> HalfLaurent:
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, n: int) -> HalfLaurent:
-        return cls({0: n})
+    _UNIT = 0
+    _key = staticmethod(int)
+    _neg_key = staticmethod(neg)
 
     @classmethod
     def s(cls, e: int = 1) -> HalfLaurent:
         return cls({e: 1})
 
-    def terms(self) -> Iterable[tuple[int, int]]:
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
-
     def all_even_powers(self) -> bool:
         return all(e % 2 == 0 for e in self._terms)
 
-    def __add__(self, other: HalfLaurent | int) -> HalfLaurent:
-        other = _coerce_half(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _raw_half(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: HalfLaurent | int) -> HalfLaurent:
-        return self + (-_coerce_half(other))
-
-    def __rsub__(self, other: HalfLaurent | int) -> HalfLaurent:
-        return _coerce_half(other) - self
-
-    def __neg__(self) -> HalfLaurent:
-        return _raw_half({e: -c for e, c in self._terms.items()})
-
     def __mul__(self, other: HalfLaurent | int) -> HalfLaurent:
-        other = _coerce_half(other)
+        other = self._coerce(other)
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -427,34 +390,13 @@ class HalfLaurent:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return _raw_half(out)
+        return self._raw(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> HalfLaurent:
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        result = HalfLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def monomial_inverse(self) -> HalfLaurent:
-        """Inverse of a unit monomial (coefficient must be +-1)."""
-        if len(self._terms) != 1:
-            raise ValueError(f"{self} is not a monomial")
-        (e, c), = self._terms.items()
-        if c not in (1, -1):
-            raise ValueError(f"{self} is not a unit monomial")
-        return _raw_half({-e: c})
-
     def mirror(self) -> HalfLaurent:
         """Substitute s -> s^-1."""
-        return _raw_half({-e: c for e, c in self._terms.items()})
+        return self._raw({-e: c for e, c in self._terms.items()})
 
     def evaluate(self, s: Fraction | int) -> Fraction:
         s = Fraction(s)
@@ -481,33 +423,3 @@ class HalfLaurent:
             exp = e // 2 if var == "t" else e
             parts.append((self._terms[e], _var_power(var, exp)))
         return _join_terms(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"HalfLaurent({self.render()!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = HalfLaurent.const(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-
-def _raw_half(terms: dict[int, int]) -> HalfLaurent:
-    p = HalfLaurent.__new__(HalfLaurent)
-    p._terms = terms
-    return p
-
-
-def _coerce_half(x: HalfLaurent | int) -> HalfLaurent:
-    if isinstance(x, HalfLaurent):
-        return x
-    if isinstance(x, int):
-        return HalfLaurent.const(x)
-    raise TypeError(f"cannot mix HalfLaurent with {type(x).__name__}")

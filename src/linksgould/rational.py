@@ -17,6 +17,7 @@ smaller degree) with the classic content/primitive-part bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .laurent import Laurent2
 
@@ -86,22 +87,6 @@ def _z_scale(f: list[int], c: int) -> list[int]:
     return [] if c == 0 else _trim([a * c for a in f])
 
 
-def _int_gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _z_content(f: list[int]) -> int:
-    g = 0
-    for c in f:
-        g = _int_gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _z_exact_div_scalar(f: list[int], c: int) -> list[int]:
     out = []
     for a in f:
@@ -169,8 +154,8 @@ def _z_gcd(f: list[int], g: list[int]) -> list[int]:
             return []
         c = 1 if f[-1] > 0 else -1
         return _z_scale(f, c)
-    cf, cg = _z_content(f), _z_content(g)
-    d = _int_gcd(cf, cg)
+    cf, cg = gcd(*f), gcd(*g)
+    d = gcd(cf, cg)
     a = _z_exact_div_scalar(f, cf)
     b = _z_exact_div_scalar(g, cg)
     if len(a) < len(b):
@@ -190,7 +175,7 @@ def _z_gcd(f: list[int], g: list[int]) -> list[int]:
             h = gg
         elif delta > 1:
             h = gg**delta // h ** (delta - 1)
-    b = _z_exact_div_scalar(b, _z_content(b))
+    b = _z_exact_div_scalar(b, gcd(*b))
     if b[-1] < 0:
         b = _z_neg(b)
     return _z_scale(b, d)
@@ -332,7 +317,7 @@ def laurent_gcd(a: Laurent2, b: Laurent2) -> Laurent2:
         (_, lc) = p.leading_term()
         return -p if lc < 0 else p
     if a.is_monomial() or b.is_monomial():
-        return Laurent2.const(_int_gcd(a.content(), b.content()))
+        return Laurent2.const(gcd(a.content(), b.content()))
     # Main variable: the one with the smaller combined degree span, so the
     # remainder sequence is short.
     at, aq = a.max_exponents()
@@ -398,7 +383,7 @@ class RationalFn:
         if (mt, mq) != (0, 0):
             num = num.shifted(-mt, -mq)
             den = den.shifted(-mt, -mq)
-        c = _int_gcd(num.content(), den.content())
+        c = gcd(num.content(), den.content())
         if c > 1:
             num = Laurent2({e: v // c for e, v in num.terms()})
             den = Laurent2({e: v // c for e, v in den.terms()})

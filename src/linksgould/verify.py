@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -360,12 +359,11 @@ def run_suite(
     name: str,
     max_m: int | None = None,
     max_k: int | None = None,
-    jobs: int = 1,
     corrupt_eigenvalues: bool = False,
 ) -> ReportDocument:
     """
-    Run one suite and assemble its report.  Cells are evaluated (possibly
-    concurrently, they are pure) in a deterministic order.
+    Run one suite and assemble its report.  Cells are evaluated in a
+    deterministic order; a grid with no cells raises ValueError.
     ``corrupt_eigenvalues`` deliberately breaks the spectral side of the
     theorem suites; it exists so the harness itself can be tested.
     """
@@ -376,11 +374,9 @@ def run_suite(
     mk = defaults["max_k"] if max_k is None else max_k
     started = time.perf_counter()
     pairs = build(mm, mk, corrupt_eigenvalues)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(lambda p: p[0](p[1]), pairs))
-    else:
-        cells = [fn(arg) for fn, arg in pairs]
+    if not pairs:
+        raise ValueError(f"suite {name!r} has no cells for max_m={mm}, max_k={mk}")
+    cells = [fn(arg) for fn, arg in pairs]
     elapsed = time.perf_counter() - started
     return ReportDocument(
         version=__version__,

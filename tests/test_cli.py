@@ -112,9 +112,17 @@ def test_verify_json_stable(capsys):
     assert "elapsed_seconds" not in doc
 
 
-def test_verify_jobs(capsys):
-    code, out, _ = run(capsys, "verify", "xi-endpoints", "--max-m", "4", "--jobs", "3")
+def test_verify_xi_endpoints(capsys):
+    code, out, _ = run(capsys, "verify", "xi-endpoints", "--max-m", "4")
     assert code == 0
+
+
+def test_verify_empty_grid_is_usage_error(capsys):
+    for argv in (("theorem1", "--max-m", "0"), ("lg21-qminus1", "--max-k", "-1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "no cells" in err
 
 
 def test_tensor_eval_builtin(capsys):

@@ -282,9 +282,7 @@ def test_kac_lists_cover_square():
 
 
 def test_involution_on_eigenvalue():
-    from linksgould.laurent import involution_q
-
-    assert involution_q(braiding_eigenvalue(2, 2)) == t(-2) * q(-2)
+    assert braiding_eigenvalue(2, 2).invert_q() == t(-2) * q(-2)
 
 
 def test_symmetry_dual():

@@ -37,12 +37,6 @@ def test_remaining_suites_pass_smallish():
     assert run_suite("tensor-oracle").passed
 
 
-def test_jobs_equivalence():
-    serial = run_suite("theorem1", max_m=2, max_k=2, jobs=1)
-    parallel = run_suite("theorem1", max_m=2, max_k=2, jobs=4)
-    assert serial.to_json(stable=True) == parallel.to_json(stable=True)
-
-
 def test_report_round_trip():
     report = run_suite("xi-endpoints", max_m=3)
     full = report.to_dict(stable=False)
