@@ -30,6 +30,7 @@ from .diagram import (
     writhe,
 )
 from .errors import (
+    BudgetError,
     CrossingBudgetError,
     FixtureValidationError,
     LinksGouldError,
@@ -134,6 +135,7 @@ __all__ = [
     "LinksGouldError",
     "ParseError",
     "PoleAtRootError",
+    "BudgetError",
     "CrossingBudgetError",
     "NotScalarError",
     "FixtureValidationError",

@@ -8,7 +8,7 @@ Commands:
   tensor eval --braid WORD [--fixture FILE] [--strands N]
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource budget exceeded.
+3 resource budget or input bound exceeded.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .conway import DEFAULT_CROSSING_BUDGET, conway
 from .cyclotomic import reduce_at_root
 from .diagram import braid_closure
 from .errors import (
-    CrossingBudgetError,
+    BudgetError,
     FixtureValidationError,
     ParseError,
     PoleAtRootError,
@@ -32,6 +32,21 @@ from .verify import SUITES, run_suite
 from .version import __version__
 
 __all__ = ["main"]
+
+# Fixed input bounds; going over one exits 3 before any work is done.
+# Each engine's cost grows without limit in its bounded input (times on a
+# 2-core x86 machine, Python 3.11): braid_closure allocates per strand
+# (10^6 strands: 0.7 s and 190 MB), lg2braid grows about fivefold per +4
+# in m (m = 16: 0.6 s, m = 20: 2.6 s), and the dense tensor engine about
+# tenfold per strand (6 strands: 3 s, 7 strands: 199 s).
+MAX_ALEXANDER_STRANDS = 1000
+MAX_LG_M = 16
+MAX_TENSOR_STRANDS = 6
+
+
+def _check_bound(what: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise BudgetError(f"{what} {value} exceeds the bound of {bound}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_alexander(args) -> int:
     word = parse_braid(args.braid, args.strands)
+    _check_bound("strand count", word.strands, MAX_ALEXANDER_STRANDS)
     value = conway(braid_closure(word), budget=args.budget)
     if args.var == "t" and not value.all_even_powers():
         print(
@@ -103,6 +119,7 @@ def _cmd_lg2braid(args) -> int:
     if args.m < 1:
         print("error: --m must be a positive integer", file=sys.stderr)
         return 2
+    _check_bound("--m", args.m, MAX_LG_M)
     value = lg_closed_2braid(args.m, args.k)
     if args.root is None:
         print(value.render())
@@ -133,6 +150,7 @@ def _cmd_verify(args) -> int:
 def _cmd_tensor_eval(args) -> int:
     fixture = lg11_fixture() if args.fixture is None else load_fixture(args.fixture)
     word = parse_braid(args.braid, args.strands)
+    _check_bound("strand count", word.strands, MAX_TENSOR_STRANDS)
     value = scalar_of(braid_bracket(word, fixture))
     print(value.render())
     return 0
@@ -153,7 +171,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CrossingBudgetError as exc:
+    except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PoleAtRootError, FixtureValidationError) as exc:

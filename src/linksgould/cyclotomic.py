@@ -7,6 +7,12 @@ the substitution is the ring map into Z[t, t^-1][q] / Phi_d(q) that sends
 q to the appropriate power of the residue class of q.  Phi_d is
 irreducible over the rationals, so the quotient is an integral domain and
 fractions over it can be compared by cross-multiplication.
+
+The values at the primitive d-th roots of unity are Galois conjugates of
+each other: the ring automorphism q -> q^e of the quotient, for e coprime
+to d, carries the value at one root to the value at its e-th power.  So
+a value is reduced modulo Phi_d once and every other root of that order
+is reached by ``CycloFraction.conjugate``.
 """
 from __future__ import annotations
 
@@ -81,11 +87,21 @@ def _reduce_laurent(p: Laurent2, d: int) -> Laurent2:
     return Laurent2(out)
 
 
-def root_order(m: int, r: int) -> int:
-    """Multiplicative order d of exp(i*pi*r/m), i.e. 2m / gcd(r, 2m)."""
+def _root_power(m: int, r: int) -> tuple[int, int]:
+    """
+    (d, e) with exp(i*pi*r/m) = exp(2*pi*i/d)^e: the root's order d and
+    its exponent e over the generating root, gcd(e, d) = 1.
+    """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return (2 * m) // gcd(r % (2 * m), 2 * m)
+    rr = r % (2 * m)
+    g = gcd(rr, 2 * m)
+    return (2 * m) // g, rr // g
+
+
+def root_order(m: int, r: int) -> int:
+    """Multiplicative order d of exp(i*pi*r/m), i.e. 2m / gcd(r, 2m)."""
+    return _root_power(m, r)[0]
 
 
 class CycloFraction:
@@ -181,6 +197,26 @@ class CycloFraction:
 
     __rmul__ = __mul__
 
+    def conjugate(self, e: int) -> CycloFraction:
+        """
+        The image under the ring automorphism q -> q^e, gcd(e, d) = 1.
+
+        If this is the value of x at a primitive d-th root zeta, the
+        result is the value of x at zeta^e.  The stored q-exponents j lie
+        below phi(d) <= d, so the exponents j*e mod d stay distinct and
+        only the reduction modulo Phi_d is left to do.
+
+        >>> i = CycloFraction(4, Laurent2.q())
+        >>> print(i.conjugate(3))
+        -q
+        """
+        d = self.d
+        if gcd(e, d) != 1:
+            raise ValueError(f"e={e} must be prime to d={d}")
+        if e % d == 1 % d:
+            return self
+        return CycloFraction(d, _power_q(self.num, e, d), _power_q(self.den, e, d))
+
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -226,25 +262,14 @@ def reduce_at_root(x: Laurent2 | RationalFn, m: int, r: int = 1) -> CycloFractio
         raise ValueError("m must be a positive integer")
     if gcd(r, m) != 1:
         raise ValueError(f"r={r} and m={m} must be relatively prime")
-    rr = r % (2 * m)
-    g = gcd(rr, 2 * m)
-    d = (2 * m) // g
-    rp = rr // g if g != 2 * m else 0
+    d, e = _root_power(m, r)
     if isinstance(x, Laurent2):
-        return CycloFraction(d, _twist(x, rp, d))
+        return CycloFraction(d, x).conjugate(e)
     if isinstance(x, RationalFn):
-        return CycloFraction(d, _twist(x.num, rp, d), _twist(x.den, rp, d))
+        return CycloFraction(d, x.num, x.den).conjugate(e)
     raise TypeError(f"cannot reduce {type(x).__name__} at a root of unity")
 
 
-def _twist(p: Laurent2, rp: int, d: int) -> Laurent2:
-    """Send q to the rp-th power of the residue class generating the root."""
-    out: dict[tuple[int, int], int] = {}
-    for (et, eq), c in p.terms():
-        e = (et, (eq * rp) % d)
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return Laurent2(out)
+def _power_q(p: Laurent2, e: int, d: int) -> Laurent2:
+    """Send q^j to q^(j*e mod d); injective on q-exponents below d."""
+    return Laurent2._raw({(et, eq * e % d): c for (et, eq), c in p.terms()})

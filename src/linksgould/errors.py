@@ -18,7 +18,11 @@ class PoleAtRootError(LinksGouldError, ArithmeticError):
     """
 
 
-class CrossingBudgetError(LinksGouldError, RuntimeError):
+class BudgetError(LinksGouldError, RuntimeError):
+    """An input exceeds a resource bound; the CLI exits with code 3."""
+
+
+class CrossingBudgetError(BudgetError):
     """A skein resolution would exceed the configured crossing budget."""
 
 

@@ -266,7 +266,6 @@ class SpectralTangle:
         return f"SpectralTangle(m={self.m}, [{inner}])"
 
 
-@lru_cache(maxsize=None)
 def lg_closed_2braid(m: int, k: int) -> RationalFn:
     """
     LG^(m,1) of the closure of the k-th power of the 2-strand generator,

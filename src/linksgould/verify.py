@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .braid import BraidWord
-from .conway import conway, conway_substituted
-from .cyclotomic import reduce_at_root
+from .conway import conway
+from .cyclotomic import CycloFraction, _root_power, reduce_at_root, root_order
 from .diagram import braid_closure
 from .errors import PoleAtRootError
-from .laurent import Laurent2
+from .laurent import HalfLaurent, Laurent2
 from .rational import RationalFn
 from .spectral import (
     SpectralTangle,
@@ -173,21 +173,47 @@ def _theorem_cells(
     suite: str, max_m: int, max_k: int, roots_all: bool, corrupt: bool
 ) -> list:
     tasks = []
+    orders: dict[int, list[int]] = {}
     for m in range(1, max_m + 1):
         roots = _valid_roots(m) if roots_all else [1]
+        # gcd(r, m) = 1 leaves the orders d = 2m and, for odd m, d = m.
+        # For both, r = 2m/d is itself a valid root: exp(2*pi*i/d).
+        orders[m] = sorted({root_order(m, r) for r in roots})
         for r in roots:
             for k in range(-max_k, max_k + 1):
                 tasks.append((m, r, k))
 
+    # Work shared by the cells of one run.  Each LG value is reduced once
+    # per root order, at exp(2*pi*i/d); the other roots of that order get
+    # their values as Galois conjugates.  A zero denominator stays zero
+    # under conjugation, so a pole holds for the whole order; it is kept
+    # as its message, which names only Phi_d.
+    deltas: dict[int, HalfLaurent] = {}
+    reduced: dict[tuple[int, int], dict[int, CycloFraction | str]] = {}
+
+    def reduce_orders(m: int, k: int) -> dict[int, CycloFraction | str]:
+        lg = _corrupted_lg(m, k) if corrupt else lg_closed_2braid(m, k)
+        out: dict[int, CycloFraction | str] = {}
+        for d in orders[m]:
+            try:
+                out[d] = reduce_at_root(lg, m, 2 * m // d)
+            except PoleAtRootError as exc:
+                out[d] = f"pole at root: {exc}"
+        return out
+
     def cell(task):
         m, r, k = task
         params = {"m": m, "r": r, "k": k}
-        right = conway_substituted(braid_closure(sigma_power(k)), m)
-        lg = _corrupted_lg(m, k) if corrupt else lg_closed_2braid(m, k)
-        try:
-            left = reduce_at_root(lg, m, r)
-        except PoleAtRootError as exc:
-            return VerificationCell(suite, params, f"pole at root: {exc}", right.render(), False)
+        if k not in deltas:
+            deltas[k] = conway(braid_closure(sigma_power(k)))
+        if (m, k) not in reduced:
+            reduced[m, k] = reduce_orders(m, k)
+        right = deltas[k].substitute_power(m)
+        d, e = _root_power(m, r)
+        base = reduced[m, k][d]
+        if isinstance(base, str):
+            return VerificationCell(suite, params, base, right.render(), False)
+        left = base.conjugate(e)
         return VerificationCell(
             suite, params, left.render(), right.render(), left == right
         )

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from linksgould.cli import main
+from linksgould.cli import MAX_ALEXANDER_STRANDS, MAX_LG_M, MAX_TENSOR_STRANDS, main
 from linksgould.tensor import dump_fixture, lg11_fixture
 
 
@@ -58,6 +59,39 @@ def test_alexander_budget_exceeded(capsys):
     code, _, err = run(capsys, "alexander", "1 1 1", "--budget", "2")
     assert code == 3
     assert "budget" in err
+
+
+def run_over_bound(capsys, *argv):
+    """Run a command past an input bound: exit 3 before any real work."""
+    started = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    return err
+
+
+def test_alexander_strand_bound(capsys):
+    # One letter on 10^8 + 1 strands: braid_closure would allocate a list
+    # per strand before the crossing budget is ever consulted.
+    err = run_over_bound(capsys, "alexander", "100000000")
+    assert f"bound of {MAX_ALEXANDER_STRANDS}" in err
+    err = run_over_bound(
+        capsys, "alexander", "1", "--strands", str(MAX_ALEXANDER_STRANDS + 1)
+    )
+    assert f"strand count {MAX_ALEXANDER_STRANDS + 1}" in err
+
+
+def test_lg2braid_m_bound(capsys):
+    err = run_over_bound(capsys, "lg2braid", "--m", str(MAX_LG_M + 1), "--k", "1")
+    assert f"--m {MAX_LG_M + 1} exceeds the bound of {MAX_LG_M}" in err
+
+
+def test_tensor_eval_strand_bound(capsys):
+    assert MAX_TENSOR_STRANDS >= 5  # the 5-strand braids of tensor-batch
+    err = run_over_bound(
+        capsys, "tensor", "eval", "--braid", "1", "--strands", str(MAX_TENSOR_STRANDS + 1)
+    )
+    assert f"bound of {MAX_TENSOR_STRANDS}" in err
 
 
 def test_lg2braid_generic(capsys):

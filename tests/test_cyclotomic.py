@@ -118,3 +118,13 @@ def test_qfree_embedding_and_mixed_equality():
     assert c == RationalFn(v)
     with pytest.raises(ValueError):
         c._coerce(q(1))  # q-dependent values must come through reduce_at_root
+
+
+def test_conjugate_composes_and_needs_a_unit():
+    x = CycloFraction(12, t(2) * q(3) - q(1) + 5, q(2) + t(-1))
+    for a in (1, 5, 7, 11):
+        for b in (5, 7, 11):
+            assert x.conjugate(a).conjugate(b) == x.conjugate(a * b)
+    assert x.conjugate(13) is x
+    with pytest.raises(ValueError):
+        x.conjugate(4)

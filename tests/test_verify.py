@@ -1,6 +1,14 @@
+import hashlib
+
 import pytest
 
+from linksgould.cli import main
 from linksgould.verify import ReportDocument, run_suite
+
+# SHA-256 of `verify theorem2 --max-m 5 --max-k 5 --format json` as the
+# direct route computes it, every cell reduced at its own root; sharing
+# work between cells must not change the report by one byte.
+THEOREM2_M5_K5_SHA256 = "a91d5d0220c9a6ada9647adffbd5e34bc2185fc4b5aac227eb525b072053799f"
 
 
 def test_unknown_suite():
@@ -27,6 +35,24 @@ def test_corrupted_eigenvalues_fail():
     report = run_suite("theorem1", max_m=2, max_k=3, corrupt_eigenvalues=True)
     assert not report.passed
     assert report.counts["failed"] > 0
+
+
+def test_theorem2_report_bytes_pinned(capsys):
+    code = main(["verify", "theorem2", "--max-m", "5", "--max-k", "5", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THEOREM2_M5_K5_SHA256
+
+
+def test_corrupted_theorem2_fails_the_same_cells():
+    # The rescaled eigenvalue is xi_1, whose trace vanishes at the roots
+    # for m >= 2 (Lemma 2), so only m = 1 can show the corruption.
+    report = run_suite("theorem2", max_m=4, max_k=3, corrupt_eigenvalues=True)
+    failed = {
+        (c.params["m"], c.params["r"], c.params["k"]) for c in report.cells if not c.passed
+    }
+    assert failed == {(1, r, k) for r in (1, 2) for k in (-3, -2, -1, 1, 2, 3)}
+    assert report.counts == {"total": 84, "failed": 12}
 
 
 def test_remaining_suites_pass_smallish():
