@@ -42,6 +42,17 @@ __all__ = ["main"]
 MAX_ALEXANDER_STRANDS = 1000
 MAX_LG_M = 16
 MAX_TENSOR_STRANDS = 6
+# verify takes --max-m up to MAX_LG_M, as lg2braid does, and --max-k up to
+# MAX_VERIFY_K.  The skein side of a theorem cell, the closed 2-braid
+# sigma^k, grows about twelvefold in time per +8 in |k| (|k| = 24: 0.2 s,
+# 32: 3 s, 40: 41 s and 660 MB), so the crossing budget alone does not
+# bound it.  The worst case at these bounds, verify theorem2 --max-m 16
+# --max-k 24, takes 90 s and 99 MB.
+MAX_VERIFY_K = 24
+# A fixture with D basis states per strand evaluates an n-strand braid on
+# D^(2n-1) dimensions; the bound is that of LG^(1,1) (D = 2) at
+# MAX_TENSOR_STRANDS.  It is checked once the fixture has loaded.
+MAX_TENSOR_DIM = 2 ** (2 * MAX_TENSOR_STRANDS - 1)
 
 
 def _check_bound(what: str, value: int, bound: int) -> None:
@@ -134,6 +145,10 @@ def _cmd_lg2braid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_m is not None:
+        _check_bound("--max-m", args.max_m, MAX_LG_M)
+    if args.max_k is not None:
+        _check_bound("--max-k", args.max_k, MAX_VERIFY_K)
     report = run_suite(
         args.suite,
         max_m=args.max_m,
@@ -151,6 +166,11 @@ def _cmd_tensor_eval(args) -> int:
     fixture = lg11_fixture() if args.fixture is None else load_fixture(args.fixture)
     word = parse_braid(args.braid, args.strands)
     _check_bound("strand count", word.strands, MAX_TENSOR_STRANDS)
+    _check_bound(
+        f"tensor dimension {fixture.dim}^{2 * word.strands - 1} =",
+        fixture.dim ** (2 * word.strands - 1),
+        MAX_TENSOR_DIM,
+    )
     value = scalar_of(braid_bracket(word, fixture))
     print(value.render())
     return 0

@@ -51,18 +51,6 @@ def first_violation(d: OrientedDiagram) -> int | None:
     return None
 
 
-def _base_value(d: OrientedDiagram) -> HalfLaurent | None:
-    if is_split(d):
-        return HalfLaurent.zero()
-    if first_violation(d) is None:
-        return (
-            HalfLaurent.one()
-            if component_count(d) == 1
-            else HalfLaurent.zero()
-        )
-    return None
-
-
 def conway(
     d: OrientedDiagram, budget: int = DEFAULT_CROSSING_BUDGET
 ) -> HalfLaurent:
@@ -80,31 +68,42 @@ def conway(
             f"{len(d.crossings)} crossings exceed the budget of {budget}"
         )
     memo: dict[str, HalfLaurent] = {}
-    stack: list[tuple[OrientedDiagram, tuple[str, str, HalfLaurent] | None]] = [
-        (d, None)
-    ]
+    root = canonical_key(d)
+    # Each diagram is keyed once, where it is made, and carries its key on
+    # the stack.  An entry with ``prepared`` set is popped after both of its
+    # children and combines their values: (switched key, smoothed key,
+    # edge coefficient).
+    stack: list[
+        tuple[OrientedDiagram, str, tuple[str, str, HalfLaurent] | None]
+    ] = [(d, root, None)]
     while stack:
-        diagram, prepared = stack.pop()
-        key = canonical_key(diagram)
+        diagram, key, prepared = stack.pop()
         if prepared is not None:
             skey, mkey, edge = prepared
             memo[key] = memo[skey] + edge * memo[mkey]
             continue
         if key in memo:
             continue
-        base = _base_value(diagram)
-        if base is not None:
-            memo[key] = base
+        if is_split(diagram):
+            memo[key] = HalfLaurent.zero()
             continue
         cid = first_violation(diagram)
-        sign = diagram.sign_of(cid)
+        if cid is None:  # descending: an unlink
+            memo[key] = (
+                HalfLaurent.one()
+                if component_count(diagram) == 1
+                else HalfLaurent.zero()
+            )
+            continue
         switched = switch_crossing(diagram, cid)
         smoothed = smooth_crossing(diagram, cid)
-        edge = _SKEIN if sign > 0 else -_SKEIN
-        stack.append((diagram, (canonical_key(switched), canonical_key(smoothed), edge)))
-        stack.append((switched, None))
-        stack.append((smoothed, None))
-    return memo[canonical_key(d)]
+        skey = canonical_key(switched)
+        mkey = canonical_key(smoothed)
+        edge = _SKEIN if diagram.sign_of(cid) > 0 else -_SKEIN
+        stack.append((diagram, key, (skey, mkey, edge)))
+        stack.append((switched, skey, None))
+        stack.append((smoothed, mkey, None))
+    return memo[root]
 
 
 def conway_substituted(

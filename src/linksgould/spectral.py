@@ -45,6 +45,13 @@ __all__ = [
 ]
 
 
+# The caches below hold every m, or every (m, i) with 0 <= i <= m, up to
+# m = 16, the CLI's bound on m (cli.MAX_LG_M), and evict beyond that, so a
+# long-lived process keeps them bounded.
+_CACHED_M = 16
+_CACHED_PAIRS = sum(m + 1 for m in range(1, _CACHED_M + 1))
+
+
 def _check_index(m: int, i: int) -> None:
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -78,7 +85,7 @@ class EigenvalueSet:
     gamma: tuple[Laurent2, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_M)
 def eigenvalue_set(m: int) -> EigenvalueSet:
     xi = tuple(braiding_eigenvalue(m, i) for i in range(m + 1))
     return EigenvalueSet(m=m, xi=xi, gamma=tuple(x * x for x in xi))
@@ -99,7 +106,7 @@ def _t2_factor(w: int) -> Laurent2:
     return Laurent2({(2, -w): 1, (-2, w): -1})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_PAIRS)
 def _trace_parts(m: int, i: int) -> tuple[Laurent2, tuple[int, ...]]:
     """
     The i-th projector trace as (numerator, denominator factor exponents).
@@ -126,7 +133,7 @@ def _trace_parts(m: int, i: int) -> tuple[Laurent2, tuple[int, ...]]:
     return num, ws
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_PAIRS)
 def projector_trace(m: int, i: int) -> RationalFn:
     """
     Quantum trace of the i-th projector, as a normalized rational function.
@@ -156,7 +163,7 @@ class QTraceVector:
     traces: tuple[RationalFn, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_M)
 def trace_vector(m: int) -> QTraceVector:
     return QTraceVector(
         m=m, traces=tuple(projector_trace(m, i) for i in range(m + 1))

@@ -3,8 +3,17 @@ import time
 
 import pytest
 
-from linksgould.cli import MAX_ALEXANDER_STRANDS, MAX_LG_M, MAX_TENSOR_STRANDS, main
-from linksgould.tensor import dump_fixture, lg11_fixture
+from linksgould.cli import (
+    MAX_ALEXANDER_STRANDS,
+    MAX_LG_M,
+    MAX_TENSOR_DIM,
+    MAX_TENSOR_STRANDS,
+    MAX_VERIFY_K,
+    main,
+)
+from linksgould.conway import DEFAULT_CROSSING_BUDGET
+from linksgould.tensor import TensorAssignment, dump_fixture, identity_matrix, lg11_fixture
+from linksgould.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -92,6 +101,48 @@ def test_tensor_eval_strand_bound(capsys):
         capsys, "tensor", "eval", "--braid", "1", "--strands", str(MAX_TENSOR_STRANDS + 1)
     )
     assert f"bound of {MAX_TENSOR_STRANDS}" in err
+
+
+def test_verify_bounds(capsys):
+    assert MAX_VERIFY_K <= DEFAULT_CROSSING_BUDGET
+    for _, defaults in SUITES.values():
+        assert defaults["max_m"] <= MAX_LG_M and defaults["max_k"] <= MAX_VERIFY_K
+    assert 8 <= min(MAX_LG_M, MAX_VERIFY_K)  # the theorem-grid benchmark
+    err = run_over_bound(capsys, "verify", "theorem1", "--max-m", str(MAX_LG_M + 1))
+    assert f"--max-m {MAX_LG_M + 1} exceeds the bound of {MAX_LG_M}" in err
+    err = run_over_bound(
+        capsys, "verify", "theorem2", "--max-m", "1", "--max-k", str(MAX_VERIFY_K + 1)
+    )
+    assert f"--max-k {MAX_VERIFY_K + 1} exceeds the bound of {MAX_VERIFY_K}" in err
+
+
+def flip_fixture(dim):
+    """A valid fixture for any dim: R = Rinv = swap, identity caps and cups."""
+    rows = identity_matrix(dim * dim)
+    swap = tuple(rows[(r % dim) * dim + r // dim] for r in range(dim * dim))
+    flat = tuple(x for row in identity_matrix(dim) for x in row)
+    return TensorAssignment(
+        dim=dim,
+        R=swap,
+        Rinv=swap,
+        n=(flat,),
+        ntilde=(flat,),
+        u=tuple((x,) for x in flat),
+        utilde=tuple((x,) for x in flat),
+    )
+
+
+def test_tensor_eval_dimension_bound(capsys, tmp_path):
+    assert MAX_TENSOR_DIM == 2 ** 11  # LG^(1,1) at MAX_TENSOR_STRANDS strands
+    path = tmp_path / "flip3.json"
+    dump_fixture(flip_fixture(3), path)
+    code, out, _ = run(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 -2 1")
+    assert code == 0  # 3^5 dimensions: within the bound
+    assert out.strip() == "3"  # dim^(components - 1) for the flip fixture
+    err = run_over_bound(
+        capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 -2 3"
+    )
+    assert f"tensor dimension 3^7 = {3 ** 7} exceeds the bound of {MAX_TENSOR_DIM}" in err
 
 
 def test_lg2braid_generic(capsys):

@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from linksgould.braid import BraidWord, parse_braid
 from linksgould.conway import conway, conway_substituted, first_violation
-from linksgould.diagram import braid_closure, component_count
+from linksgould.diagram import braid_closure, canonical_key, component_count
 from linksgould.errors import CrossingBudgetError
 from linksgould.laurent import HalfLaurent, Laurent2
 from linksgould.rational import RationalFn
@@ -128,3 +129,27 @@ def test_knot_symmetry_and_unit_evaluation():
         else:
             assert v.evaluate_at_one() == 0
             links += 1
+
+
+def test_each_diagram_keyed_once(monkeypatch):
+    # The loop keys the root and each surgery result once, and decides each
+    # node that is neither memoized nor split by one first_violation call.
+    engine = sys.modules["linksgould.conway"]
+    names = ("canonical_key", "is_split", "first_violation", "switch_crossing", "smooth_crossing")
+    calls: dict[str, list] = {name: [] for name in names}
+    for name in names:
+
+        def wrapper(d, *rest, original=getattr(engine, name), seen=calls[name]):
+            result = original(d, *rest)
+            seen.append((canonical_key(d), result))
+            return result
+
+        monkeypatch.setattr(engine, name, wrapper)
+
+    assert conway(closure("1 -2 1 3 -2 3 1 -2 -3")) == -s(2) + 3 - s(-2)
+    surgeries = len(calls["switch_crossing"])
+    assert surgeries == len(calls["smooth_crossing"]) == 186
+    assert len(calls["canonical_key"]) == 1 + 2 * surgeries
+    decided = [key for key, _ in calls["first_violation"]]
+    assert decided == [key for key, split in calls["is_split"] if not split]
+    assert len(set(decided)) == len(decided)

@@ -3,12 +3,14 @@ from math import gcd
 
 import pytest
 
+from linksgould.cli import MAX_LG_M
 from linksgould.cyclotomic import CycloFraction, reduce_at_root
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
 from linksgould.spectral import (
     SpectralTangle,
     WeightLabel,
+    _trace_parts,
     braiding_eigenvalue,
     braiding_eigenvalue_inverse,
     characteristic_identity_holds,
@@ -120,6 +122,20 @@ def test_scaling_contract_symbolic(m):
 def test_trace_vector_shape():
     v = trace_vector(5)
     assert v.m == 5 and len(v.traces) == 6
+
+
+def test_caches_are_bounded_and_hold_every_cli_m():
+    # Bounded, so a long-lived process cannot grow them without limit, and
+    # large enough that no m the CLI accepts is ever evicted.
+    pairs = sum(m + 1 for m in range(1, MAX_LG_M + 1))
+    for fn, need in (
+        (eigenvalue_set, MAX_LG_M),
+        (trace_vector, MAX_LG_M),
+        (_trace_parts, pairs),
+        (projector_trace, pairs),
+    ):
+        maxsize = fn.cache_info().maxsize
+        assert maxsize is not None and maxsize >= need, fn.__name__
 
 
 def test_compose_is_pointwise():
