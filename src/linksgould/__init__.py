@@ -43,7 +43,6 @@ from .rational import RationalFn, laurent_gcd
 from .sliced import Piece, SlicedDiagram, to_sliced
 from .spectral import (
     EigenvalueSet,
-    QTraceVector,
     SpectralTangle,
     WeightLabel,
     braiding_eigenvalue,
@@ -55,7 +54,6 @@ from .spectral import (
     projector_trace,
     skein_coefficient_report,
     symmetry_dual,
-    trace_vector,
     weight_decompositions,
 )
 from .tensor import (
@@ -93,8 +91,6 @@ __all__ = [
     "EigenvalueSet",
     "eigenvalue_set",
     "projector_trace",
-    "QTraceVector",
-    "trace_vector",
     "SpectralTangle",
     "lg_closed_2braid",
     "skein_coefficient_report",

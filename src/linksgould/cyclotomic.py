@@ -21,7 +21,7 @@ from math import gcd
 
 from .errors import PoleAtRootError
 from .laurent import Laurent2
-from .rational import RationalFn, _z_exact_div
+from .rational import RationalFn
 
 __all__ = ["cyclotomic_poly", "CycloFraction", "reduce_at_root", "root_order"]
 
@@ -30,12 +30,14 @@ __all__ = ["cyclotomic_poly", "CycloFraction", "reduce_at_root", "root_order"]
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     if d < 1:
         raise ValueError("d must be a positive integer")
-    # (q^d - 1) divided by the cyclotomic polynomials of the proper divisors.
-    poly = [-1] + [0] * (d - 1) + [1]
+    # (q^d - 1) divided by the cyclotomic polynomials of the proper
+    # divisors; Laurent2.exact_div is the package's only polynomial
+    # exact division, and it serves the gcd as well.
+    poly = Laurent2.q(d) - 1
     for e in range(1, d):
         if d % e == 0:
-            poly = _z_exact_div(poly, list(_cyclotomic_coeffs(e)))
-    return tuple(poly)
+            poly = poly.exact_div(cyclotomic_poly(e))
+    return tuple(poly.coefficient(0, j) for j in range(poly.max_exponents()[1] + 1))
 
 
 def cyclotomic_poly(d: int) -> Laurent2:

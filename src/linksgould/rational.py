@@ -10,9 +10,12 @@ cheap.  Value equality is always decided by cross-multiplication, so
 correctness never depends on how much cancellation happened; the normal
 form only keeps printed output and intermediate sizes sane.
 
-The gcd itself is a subresultant polynomial-remainder-sequence
-computation, run on Z[q][t] (or Z[t][q], whichever main variable has the
-smaller degree) with the classic content/primitive-part bookkeeping.
+The gcd itself is one subresultant polynomial remainder sequence whose
+coefficients are ``Laurent2`` values: a polynomial is split by powers of
+its main variable (t or q, whichever has the smaller span), the
+coefficients' contents come from the same gcd in the other variable
+(where the coefficients are integers and ``math.gcd`` suffices), and
+every division is ``Laurent2.exact_div``.
 """
 from __future__ import annotations
 
@@ -48,255 +51,111 @@ def _cancel_affordable(num: Laurent2, den: Laurent2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate integer polynomials, dense ascending coefficient lists
+# the gcd: one subresultant remainder sequence over Laurent2 coefficients
 # ---------------------------------------------------------------------------
 
-def _trim(f: list[int]) -> list[int]:
-    n = len(f)
-    while n and f[n - 1] == 0:
-        n -= 1
-    return f[:n]
+def _split(p: Laurent2, main: int) -> list[Laurent2]:
+    """
+    The coefficients of p as a polynomial in variable ``main`` (0 for t,
+    1 for q), lowest power first, after shifting p's lowest power of
+    ``main`` to 0; each coefficient is free of ``main``.
+    """
+    low = p.min_exponents()[main]
+    rows: list[dict[tuple[int, int], int]] = [
+        {} for _ in range(p.max_exponents()[main] - low + 1)
+    ]
+    for e, c in p.terms():
+        rows[e[main] - low][(0, e[1]) if main == 0 else (e[0], 0)] = c
+    return [Laurent2(row) for row in rows]
 
 
-def _z_add(f: list[int], g: list[int]) -> list[int]:
-    if len(f) < len(g):
-        f, g = g, f
-    out = f[:]
-    for i, c in enumerate(g):
-        out[i] += c
-    return _trim(out)
+def _join(coeffs: list[Laurent2], main: int) -> Laurent2:
+    """The sum of coeffs[i] * main^i, the inverse of ``_split``."""
+    terms: dict[tuple[int, int], int] = {}
+    for i, c in enumerate(coeffs):
+        for (et, eq), v in c.terms():
+            terms[(i, eq) if main == 0 else (et, i)] = v
+    return Laurent2(terms)
 
 
-def _z_neg(f: list[int]) -> list[int]:
-    return [-c for c in f]
-
-
-def _z_mul(f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return _trim(out)
-
-
-def _z_scale(f: list[int], c: int) -> list[int]:
-    return [] if c == 0 else _trim([a * c for a in f])
-
-
-def _z_exact_div_scalar(f: list[int], c: int) -> list[int]:
-    out = []
-    for a in f:
-        if a % c:
-            raise ArithmeticError("inexact scalar division in Z[x]")
-        out.append(a // c)
-    return out
-
-
-def _z_exact_div(f: list[int], g: list[int]) -> list[int]:
-    """Exact division in Z[x]; raises ArithmeticError if inexact."""
-    f = _trim(f)
-    g = _trim(g)
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not f:
-        return []
-    if len(f) < len(g):
-        raise ArithmeticError("inexact division in Z[x]")
-    rem = f[:]
-    quo = [0] * (len(f) - len(g) + 1)
-    lc = g[-1]
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[len(g) - 1 + i]
-        if c % lc:
-            raise ArithmeticError("inexact division in Z[x]")
-        t = c // lc
-        quo[i] = t
-        if t:
-            for j, b in enumerate(g):
-                rem[i + j] -= t * b
-    if any(rem):
-        raise ArithmeticError("inexact division in Z[x]")
-    return _trim(quo)
-
-
-def _z_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
-    da, db = len(a) - 1, len(b) - 1
-    lc = b[-1]
-    r = a[:]
-    e = da - db + 1
-    while True:
-        r = _trim(r)
-        dr = len(r) - 1
-        if dr < db or not r:
-            break
-        coef = r[-1]
-        r = [c * lc for c in r]
-        for j, bb in enumerate(b):
-            r[dr - db + j] -= coef * bb
-        e -= 1
-    if e > 0:
-        r = _z_scale(r, lc**e)
-    return _trim(r)
-
-
-def _z_gcd(f: list[int], g: list[int]) -> list[int]:
-    """gcd in Z[x]: primitive, positive leading coefficient, times content gcd."""
-    f, g = _trim(f), _trim(g)
-    if not f:
-        f, g = g, f
-    if not g:
-        if not f:
-            return []
-        c = 1 if f[-1] > 0 else -1
-        return _z_scale(f, c)
-    cf, cg = gcd(*f), gcd(*g)
-    d = gcd(cf, cg)
-    a = _z_exact_div_scalar(f, cf)
-    b = _z_exact_div_scalar(g, cg)
-    if len(a) < len(b):
-        a, b = b, a
-    gg, h = 1, 1
-    while True:
-        delta = len(a) - len(b)
-        r = _z_prem(a, b)
-        if not r:
-            break
-        if len(b) == 1:
-            b = [1]
-            break
-        a, b = b, _z_exact_div_scalar(r, gg * h**delta)
-        gg = a[-1]
-        if delta == 1:
-            h = gg
-        elif delta > 1:
-            h = gg**delta // h ** (delta - 1)
-    b = _z_exact_div_scalar(b, gcd(*b))
-    if b[-1] < 0:
-        b = _z_neg(b)
-    return _z_scale(b, d)
-
-
-# ---------------------------------------------------------------------------
-# bivariate polynomials: dense in the main variable, Z[x] coefficients
-# ---------------------------------------------------------------------------
-
-def _b_trim(f: list[list[int]]) -> list[list[int]]:
-    n = len(f)
-    while n and not f[n - 1]:
-        n -= 1
-    return f[:n]
-
-
-def _b_content(f: list[list[int]]) -> list[int]:
-    g: list[int] = []
-    for c in f:
-        g = _z_gcd(g, c)
-        if g == [1]:
+def _content(values: list[Laurent2], var: int) -> Laurent2:
+    """
+    A gcd, up to units, of values that involve no variable but ``var``.
+    Constants need only the integer gcd.
+    """
+    values = [v for v in values if not v.is_zero()]
+    if all(len(v) == 1 and v.coefficient(0, 0) for v in values):
+        return Laurent2.const(gcd(*(v.coefficient(0, 0) for v in values)))
+    g = values[0]
+    for v in values[1:]:
+        g = _gcd(g, v, var)
+        if g.is_monomial() and g.content() == 1:
             break
     return g
 
 
-def _b_div_coeffs(f: list[list[int]], d: list[int]) -> list[list[int]]:
-    return [_z_exact_div(c, d) if c else [] for c in f]
+def _scaled(coeffs: list[Laurent2], x: Laurent2) -> list[Laurent2]:
+    """Each coefficient times x; zero coefficients and x = 1 cost no product."""
+    if x.is_one():
+        return coeffs
+    return [c if c.is_zero() else c * x for c in coeffs]
 
 
-def _b_prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    da, db = len(a) - 1, len(b) - 1
+def _divided(coeffs: list[Laurent2], x: Laurent2) -> list[Laurent2]:
+    """Each coefficient divided exactly by x."""
+    if x.is_one():
+        return coeffs
+    return [c if c.is_zero() else c.exact_div(x) for c in coeffs]
+
+
+def _prem(a: list[Laurent2], b: list[Laurent2]) -> list[Laurent2]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
+    db = len(b) - 1
     lc = b[-1]
-    r = [c[:] for c in a]
-    e = da - db + 1
-    while True:
-        r = _b_trim(r)
-        dr = len(r) - 1
-        if not r or dr < db:
-            break
-        coef = r[-1]
-        r = [_z_mul(c, lc) for c in r]
-        for j, bb in enumerate(b):
-            r[dr - db + j] = _z_add(r[dr - db + j], _z_neg(_z_mul(coef, bb)))
+    r = a[:]
+    e = len(a) - db
+    while len(r) > db:
+        top = r.pop()
+        shift = len(r) - db
+        r = _scaled(r, lc)
+        for j in range(db):
+            if not b[j].is_zero():
+                r[shift + j] = r[shift + j] - top * b[j]
+        while r and r[-1].is_zero():
+            r.pop()
         e -= 1
-    if e > 0:
-        lce = lc
-        for _ in range(e - 1):
-            lce = _z_mul(lce, lc)
-        r = [_z_mul(c, lce) for c in r]
-    return _b_trim(r)
+    return _scaled(r, lc**e) if e > 0 else r
 
 
-def _b_gcd(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    """Subresultant gcd in (Z[x])[y]; result primitive over Z[x]."""
-    f, g = _b_trim(f), _b_trim(g)
-    if not f:
+def _gcd(a: Laurent2, b: Laurent2, main: int) -> Laurent2:
+    """
+    A gcd of two nonzero Laurent polynomials, up to units, by the
+    subresultant remainder sequence in the variable ``main``; the
+    coefficients' contents come from the same gcd in the other variable.
+    """
+    other = 1 - main
+    f, g = _split(a, main), _split(b, main)
+    cf, cg = _content(f, other), _content(g, other)
+    d = _content([cf, cg], other)
+    f, g = _divided(f, cf), _divided(g, cg)
+    if len(f) < len(g):
         f, g = g, f
-    if not g:
-        return f
-    cf, cg = _b_content(f), _b_content(g)
-    d = _z_gcd(cf, cg)
-    a = _b_div_coeffs(f, cf)
-    b = _b_div_coeffs(g, cg)
-    if len(a) < len(b):
-        a, b = b, a
-    gg, h = [1], [1]
-    while True:
-        delta = len(a) - len(b)
-        r = _b_prem(a, b)
+    lead = h = Laurent2.one()
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        r = _prem(f, g)
         if not r:
             break
-        if len(b) == 1:
-            b = [[1]]
+        if len(r) == 1:
+            g = [Laurent2.one()]
             break
-        div = gg
-        for _ in range(delta):
-            div = _z_mul(div, h)
-        a, b = b, [_z_exact_div(c, div) if c else [] for c in r]
-        gg = a[-1]
+        f, g = g, _divided(r, lead * h**delta)
+        lead = f[-1]
         if delta == 1:
-            h = gg
+            h = lead
         elif delta > 1:
-            num = gg
-            for _ in range(delta - 1):
-                num = _z_mul(num, gg)
-            den = h
-            for _ in range(delta - 2):
-                den = _z_mul(den, h)
-            h = _z_exact_div(num, den)
-    cb = _b_content(b)
-    b = _b_div_coeffs(b, cb)
-    return _b_trim([_z_mul(c, d) if c else [] for c in b])
-
-
-# ---------------------------------------------------------------------------
-# Laurent2 <-> dense conversion and the public gcd
-# ---------------------------------------------------------------------------
-
-def _to_dense(p: Laurent2, main_is_t: bool) -> list[list[int]]:
-    mt, mq = p.min_exponents()
-    xt, xq = p.max_exponents()
-    if main_is_t:
-        rows, cols, mr, mc = xt - mt, xq - mq, mt, mq
-    else:
-        rows, cols, mr, mc = xq - mq, xt - mt, mq, mt
-    out: list[list[int]] = [[0] * (cols + 1) for _ in range(rows + 1)]
-    for (et, eq), c in p.terms():
-        if main_is_t:
-            out[et - mr][eq - mc] = c
-        else:
-            out[eq - mr][et - mc] = c
-    return _b_trim([_trim(row) for row in out])
-
-
-def _from_dense(f: list[list[int]], main_is_t: bool) -> Laurent2:
-    terms: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(f):
-        for j, c in enumerate(row):
-            if c:
-                terms[(i, j) if main_is_t else (j, i)] = c
-    return Laurent2(terms)
+            h = (lead**delta).exact_div(h ** (delta - 1))
+    return _join(_scaled(_divided(g, _content(g, other)), d), main)
 
 
 def laurent_gcd(a: Laurent2, b: Laurent2) -> Laurent2:
@@ -307,28 +166,31 @@ def laurent_gcd(a: Laurent2, b: Laurent2) -> Laurent2:
     equal to the content gcd, and positive leading coefficient.
     Monomial factors are units of the Laurent ring, so they never count
     as common content.
+
+    >>> t, q = Laurent2.t, Laurent2.q
+    >>> print(laurent_gcd((q() - t()) * (q() + 1), (q() - t()) * (q() + 2)))
+    t - q
     """
     if a.is_zero() and b.is_zero():
         return Laurent2.zero()
     if a.is_zero() or b.is_zero():
-        p = b if a.is_zero() else a
-        mt, mq = p.min_exponents()
-        p = p.shifted(-mt, -mq)
-        (_, lc) = p.leading_term()
-        return -p if lc < 0 else p
-    if a.is_monomial() or b.is_monomial():
+        g = b if a.is_zero() else a
+    elif a.is_monomial() or b.is_monomial():
         return Laurent2.const(gcd(a.content(), b.content()))
-    # Main variable: the one with the smaller combined degree span, so the
-    # remainder sequence is short.
-    at, aq = a.max_exponents()
-    amt, amq = a.min_exponents()
-    bt, bq = b.max_exponents()
-    bmt, bmq = b.min_exponents()
-    span_t = max(at - amt, bt - bmt)
-    span_q = max(aq - amq, bq - bmq)
-    main_is_t = span_t <= span_q
-    g = _b_gcd(_to_dense(a, main_is_t), _to_dense(b, main_is_t))
-    return _from_dense(g, main_is_t)
+    else:
+        # Main variable: the one with the smaller combined degree span, so
+        # the remainder sequence is short.
+        at, aq = a.max_exponents()
+        amt, amq = a.min_exponents()
+        bt, bq = b.max_exponents()
+        bmt, bmq = b.min_exponents()
+        span_t = max(at - amt, bt - bmt)
+        span_q = max(aq - amq, bq - bmq)
+        g = _gcd(a, b, 0 if span_t <= span_q else 1)
+    mt, mq = g.min_exponents()
+    g = g.shifted(-mt, -mq)
+    (_, lc) = g.leading_term()
+    return -g if lc < 0 else g
 
 
 # ---------------------------------------------------------------------------

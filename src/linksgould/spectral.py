@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .cyclotomic import CycloFraction, reduce_at_root
 from .laurent import Laurent2
@@ -31,8 +30,6 @@ __all__ = [
     "EigenvalueSet",
     "eigenvalue_set",
     "projector_trace",
-    "QTraceVector",
-    "trace_vector",
     "SpectralTangle",
     "lg_closed_2braid",
     "SkeinCoefficient",
@@ -155,21 +152,6 @@ def projector_trace(m: int, i: int) -> RationalFn:
     return RationalFn(num, den)
 
 
-@dataclass(frozen=True, eq=False)
-class QTraceVector:
-    """The m+1 projector traces for one m."""
-
-    m: int
-    traces: tuple[RationalFn, ...]
-
-
-@lru_cache(maxsize=_CACHED_M)
-def trace_vector(m: int) -> QTraceVector:
-    return QTraceVector(
-        m=m, traces=tuple(projector_trace(m, i) for i in range(m + 1))
-    )
-
-
 class SpectralTangle:
     """
     A (2,2)-tangle in spectral coordinates: the coefficient vector of its
@@ -228,36 +210,32 @@ class SpectralTangle:
         )
 
     def quantum_trace(self) -> RationalFn:
-        """Sum of coefficient * projector trace."""
+        """
+        Sum of coefficient * projector trace.
+
+        The sum is assembled over one common denominator: the product of
+        the coefficients' denominators and of the distinct trace factors.
+        Each part is multiplied once by what its own denominator lacks,
+        so no gcd runs before the final normalization.
+        """
         m = self.m
-        if all(c.den.is_monomial() for c in self.coefficients):
-            # Coefficients with (normalized) monomial denominators are
-            # integer-denominator Laurent multiples, so the whole sum fits
-            # over one product of the distinct trace factors; assembling it
-            # there avoids any large gcd.
-            all_ws = sorted({w for i in range(m + 1) for w in _trace_parts(m, i)[1]})
-            have = [int(c.den.coefficient(0, 0)) for c in self.coefficients]
-            scale = 1
-            for c in have:
-                scale *= c
-            total = Laurent2.zero()
-            for i, a in enumerate(self.coefficients):
-                num_i, ws = _trace_parts(m, i)
-                part = num_i * a.num * (scale // have[i])
-                used = set(ws)
-                for w in all_ws:
-                    if w not in used:
-                        part = part * _t2_factor(w)
-                total = total + part
-            den = Laurent2.const(scale)
+        all_ws = sorted({w for i in range(m + 1) for w in _trace_parts(m, i)[1]})
+        scale = Laurent2.one()
+        for a in self.coefficients:
+            scale = scale * a.den
+        total = Laurent2.zero()
+        for i, a in enumerate(self.coefficients):
+            num_i, ws = _trace_parts(m, i)
+            part = num_i * a.num * scale.exact_div(a.den)
+            used = set(ws)
             for w in all_ws:
-                den = den * _t2_factor(w)
-            return RationalFn(total, den)
-        traces = trace_vector(m).traces
-        total = RationalFn.zero()
-        for a, c in zip(self.coefficients, traces):
-            total = total + a * c
-        return total
+                if w not in used:
+                    part = part * _t2_factor(w)
+            total = total + part
+        den = scale
+        for w in all_ws:
+            den = den * _t2_factor(w)
+        return RationalFn(total, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectralTangle):

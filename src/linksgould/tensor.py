@@ -155,14 +155,6 @@ class TensorAssignment:
             Piece.CUP_UT: self.utilde,
         }[piece]
 
-    def cap_as_square(self, name: str) -> Matrix:
-        """A cap/cup vector reshaped to the D x D coefficient matrix."""
-        d = self.dim
-        flat = getattr(self, name)
-        if name in ("n", "ntilde"):
-            return tuple(tuple(flat[0][a * d + b] for b in range(d)) for a in range(d))
-        return tuple(tuple(flat[a * d + b][0] for b in range(d)) for a in range(d))
-
 
 @dataclass(frozen=True)
 class ValidationCheck:

@@ -8,6 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from linksgould.laurent import HalfLaurent, Laurent2  # noqa: E402
+from linksgould.rational import laurent_gcd  # noqa: E402
 
 given = hypothesis.given
 # Deterministic and without an example database, so the suite is
@@ -82,3 +83,23 @@ def test_content_is_gcd_of_coefficients(p, n):
     values = [c for _, c in p.terms()]
     assert p.content() == reduce(gcd, values, 0)
     assert (p * n).content() == abs(n) * p.content()
+
+
+small_laurent2 = (
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-9, 9), max_size=4)
+    .map(Laurent2)
+    .filter(lambda p: not p.is_zero())
+)
+
+
+@laws
+@given(small_laurent2, small_laurent2, small_laurent2)
+def test_gcd_of_common_multiples(a, b, c):
+    f, h = a * c, b * c
+    g = laurent_gcd(f, h)
+    assert g.divides(f) and g.divides(h)
+    # Monomials are units, and exact division ignores them.
+    assert c.divides(g)
+    assert g.min_exponents() == (0, 0)
+    assert g.leading_term()[1] > 0
+    assert g.content() == gcd(f.content(), h.content())

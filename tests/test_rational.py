@@ -149,3 +149,12 @@ def test_gcd_coprime_is_trivial():
     g = laurent_gcd(t(1) + 1, q(1) + 1)
     assert g.is_monomial()
     assert g.content() == 1
+
+
+def test_gcd_sign_follows_leading_term():
+    # With q as the main variable, the sign must still come from the
+    # lexicographic leading term, whose t-power is the largest.
+    g = laurent_gcd((q(1) - t(1)) * (q(1) + 1), (q(1) - t(1)) * (q(1) + 2))
+    assert g == t(1) - q(1)
+    assert g.leading_term() == ((1, 0), 1)
+    assert laurent_gcd(q(1) + 1, -q(1) - 1) == q(1) + 1

@@ -20,7 +20,6 @@ from linksgould.spectral import (
     projector_trace,
     skein_coefficient_report,
     symmetry_dual,
-    trace_vector,
     weight_decompositions,
 )
 
@@ -119,18 +118,12 @@ def test_scaling_contract_symbolic(m):
     assert SpectralTangle.identity(m).quantum_trace() == ZERO
 
 
-def test_trace_vector_shape():
-    v = trace_vector(5)
-    assert v.m == 5 and len(v.traces) == 6
-
-
 def test_caches_are_bounded_and_hold_every_cli_m():
     # Bounded, so a long-lived process cannot grow them without limit, and
     # large enough that no m the CLI accepts is ever evicted.
     pairs = sum(m + 1 for m in range(1, MAX_LG_M + 1))
     for fn, need in (
         (eigenvalue_set, MAX_LG_M),
-        (trace_vector, MAX_LG_M),
         (_trace_parts, pairs),
         (projector_trace, pairs),
     ):

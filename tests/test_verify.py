@@ -5,10 +5,26 @@ import pytest
 from linksgould.cli import main
 from linksgould.verify import ReportDocument, run_suite
 
-# SHA-256 of `verify theorem2 --max-m 5 --max-k 5 --format json` as the
-# direct route computes it, every cell reduced at its own root; sharing
-# work between cells must not change the report by one byte.
-THEOREM2_M5_K5_SHA256 = "a91d5d0220c9a6ada9647adffbd5e34bc2185fc4b5aac227eb525b072053799f"
+# SHA-256 of `verify <suite> --format json` reports.  The theorem2 one is
+# as the direct route computes it, every cell reduced at its own root;
+# sharing work between cells must not change the report by one byte.
+# lemma2-vanishing (22 cancelling gcds) and lg21-qminus1 (18) print
+# fractions that went through gcd cancellation, so they pin the gcd's
+# results too.
+PINNED_REPORTS = {
+    "theorem2": (
+        ["theorem2", "--max-m", "5", "--max-k", "5"],
+        "a91d5d0220c9a6ada9647adffbd5e34bc2185fc4b5aac227eb525b072053799f",
+    ),
+    "lemma2-vanishing": (
+        ["lemma2-vanishing"],
+        "890b9841b29f95d1179d90dfeaff879bcbd2c2dfdc2a98cad34d631f369114f7",
+    ),
+    "lg21-qminus1": (
+        ["lg21-qminus1"],
+        "6c47435e979e7fd27301e77a5d847fee0aff0218efdbfce7cee728b23200d782",
+    ),
+}
 
 
 def test_unknown_suite():
@@ -37,11 +53,13 @@ def test_corrupted_eigenvalues_fail():
     assert report.counts["failed"] > 0
 
 
-def test_theorem2_report_bytes_pinned(capsys):
-    code = main(["verify", "theorem2", "--max-m", "5", "--max-k", "5", "--format", "json"])
+@pytest.mark.parametrize("report", sorted(PINNED_REPORTS))
+def test_theorem2_report_bytes_pinned(capsys, report):
+    args, digest = PINNED_REPORTS[report]
+    code = main(["verify", *args, "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == THEOREM2_M5_K5_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_corrupted_theorem2_fails_the_same_cells():
