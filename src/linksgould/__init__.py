@@ -53,7 +53,6 @@ from .spectral import (
     module_decomposition,
     projector_trace,
     skein_coefficient_report,
-    symmetry_dual,
     weight_decompositions,
 )
 from .tensor import (
@@ -65,7 +64,6 @@ from .tensor import (
     dump_fixture,
     lg11_fixture,
     load_fixture,
-    quantum_trace,
     scalar_of,
     validate_assignment,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "WeightLabel",
     "weight_decompositions",
     "module_decomposition",
-    "symmetry_dual",
     "BraidWord",
     "parse_braid",
     "OrientedDiagram",
@@ -120,7 +117,6 @@ __all__ = [
     "Bracket",
     "bracket",
     "braid_bracket",
-    "quantum_trace",
     "scalar_of",
     "lg11_fixture",
     "load_fixture",

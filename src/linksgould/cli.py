@@ -27,7 +27,14 @@ from .errors import (
     PoleAtRootError,
 )
 from .spectral import lg_closed_2braid
-from .tensor import braid_bracket, lg11_fixture, load_fixture, scalar_of
+from .tensor import (
+    MAX_TENSOR_DIM,
+    MAX_TENSOR_STRANDS,
+    braid_bracket,
+    lg11_fixture,
+    load_fixture,
+    scalar_of,
+)
 from .verify import SUITES, run_suite
 from .version import __version__
 
@@ -36,12 +43,13 @@ __all__ = ["main"]
 # Fixed input bounds; going over one exits 3 before any work is done.
 # Each engine's cost grows without limit in its bounded input (times on a
 # 2-core x86 machine, Python 3.11): braid_closure allocates per strand
-# (10^6 strands: 0.7 s and 190 MB), lg2braid grows about fivefold per +4
-# in m (m = 16: 0.6 s, m = 20: 2.6 s), and the dense tensor engine about
-# tenfold per strand (6 strands: 3 s, 7 strands: 199 s).
+# (10^6 strands: 0.7 s and 190 MB) and lg2braid grows about fivefold per
+# +4 in m (m = 16: 0.6 s, m = 20: 2.6 s).  The tensor engine's bounds,
+# MAX_TENSOR_STRANDS and MAX_TENSOR_DIM, are defined in tensor.py, where
+# load_fixture refuses a fixture too wide to validate before any check
+# runs; tensor eval then bounds the braid's width D^(2n-1) below.
 MAX_ALEXANDER_STRANDS = 1000
 MAX_LG_M = 16
-MAX_TENSOR_STRANDS = 6
 # verify takes --max-m up to MAX_LG_M, as lg2braid does, and --max-k up to
 # MAX_VERIFY_K.  The skein side of a theorem cell, the closed 2-braid
 # sigma^k, grows about twelvefold in time per +8 in |k| (|k| = 24: 0.2 s,
@@ -49,10 +57,6 @@ MAX_TENSOR_STRANDS = 6
 # bound it.  The worst case at these bounds, verify theorem2 --max-m 16
 # --max-k 24, takes 90 s and 99 MB.
 MAX_VERIFY_K = 24
-# A fixture with D basis states per strand evaluates an n-strand braid on
-# D^(2n-1) dimensions; the bound is that of LG^(1,1) (D = 2) at
-# MAX_TENSOR_STRANDS.  It is checked once the fixture has loaded.
-MAX_TENSOR_DIM = 2 ** (2 * MAX_TENSOR_STRANDS - 1)
 
 
 def _check_bound(what: str, value: int, bound: int) -> None:

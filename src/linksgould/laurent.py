@@ -149,14 +149,15 @@ class _SparseLaurent:
     def __pow__(self, n: int):
         if n < 0:
             return self.monomial_inverse() ** (-n)
-        result = self.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.one() if result is None else result
 
     def monomial_inverse(self):
         """Inverse of a unit monomial (coefficient must be +-1)."""

@@ -335,14 +335,15 @@ class RationalFn:
     def __pow__(self, n: int) -> RationalFn:
         if n < 0:
             return self.reciprocal() ** (-n)
-        out = RationalFn.one()
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return RationalFn.one() if out is None else out
 
     def reciprocal(self) -> RationalFn:
         if self.is_zero():

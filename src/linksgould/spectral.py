@@ -38,7 +38,6 @@ __all__ = [
     "WeightLabel",
     "weight_decompositions",
     "module_decomposition",
-    "symmetry_dual",
 ]
 
 
@@ -383,11 +382,3 @@ def module_decomposition(m: int) -> tuple[WeightLabel, ...]:
         raise ValueError("m must be a positive integer")
     return tuple(WeightLabel(m, i, 0, 1) for i in range(m + 1))
 
-
-def symmetry_dual(x: RationalFn) -> RationalFn:
-    """
-    The q -> q^-1 involution, which exchanges an LG^(m,1) value with the
-    corresponding LG^(1,m) value.  Self-inverse; m = 1 values are q-free
-    and therefore fixed.
-    """
-    return x.invert_q()

@@ -145,6 +145,18 @@ def test_tensor_eval_dimension_bound(capsys, tmp_path):
     assert f"tensor dimension 3^7 = {3 ** 7} exceeds the bound of {MAX_TENSOR_DIM}" in err
 
 
+def test_fixture_validation_bound(capsys, tmp_path):
+    # Validation spans dim^3 dimensions at a cost of about dim^6; dim = 13
+    # is the first flip fixture past the bound and is refused unvalidated.
+    assert 12 ** 3 <= MAX_TENSOR_DIM < 13 ** 3
+    path = tmp_path / "flip13.json"
+    dump_fixture(flip_fixture(13), path)
+    err = run_over_bound(
+        capsys, "tensor", "eval", "--fixture", str(path), "--braid", "", "--strands", "1"
+    )
+    assert f"width 13^3 = {13 ** 3} exceeds the bound of {MAX_TENSOR_DIM}" in err
+
+
 def test_lg2braid_generic(capsys):
     code, out, _ = run(capsys, "lg2braid", "--m", "1", "--k", "2")
     assert code == 0

@@ -9,7 +9,7 @@ from linksgould.diagram import braid_closure
 from linksgould.errors import FixtureValidationError, NotScalarError
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
-from linksgould.sliced import SlicedDiagram, to_sliced
+from linksgould.sliced import Piece, SlicedDiagram, to_sliced
 from linksgould.tensor import (
     Bracket,
     TensorAssignment,
@@ -19,7 +19,6 @@ from linksgould.tensor import (
     identity_matrix,
     lg11_fixture,
     load_fixture,
-    quantum_trace,
     scalar_of,
     validate_assignment,
 )
@@ -94,16 +93,27 @@ def test_bracket_of_r_diagram_is_identity():
     assert b.matrix == identity_matrix(2)
 
 
+def closure(*pieces):
+    """The quantum trace of a 2-strand row: its right strand closed off."""
+    return SlicedDiagram(
+        (
+            (Piece.ID_UP, Piece.CUP_U),
+            pieces + (Piece.ID_DOWN,),
+            (Piece.ID_UP, Piece.CAP_N),
+        )
+    )
+
+
 def test_quantum_trace_of_identity_vanishes():
     fx = lg11_fixture()
-    qt = quantum_trace(Bracket(2, 2, identity_matrix(4)), fx)
+    qt = bracket(closure(Piece.ID_UP, Piece.ID_UP), fx)
     assert all(x.is_zero() for row in qt.matrix for x in row)
 
 
 def test_quantum_trace_of_braidings():
     fx = lg11_fixture()
-    for mat in (fx.R, fx.Rinv):
-        qt = quantum_trace(Bracket(2, 2, mat), fx)
+    for cross in (Piece.CROSS_POS, Piece.CROSS_NEG):
+        qt = bracket(closure(cross), fx)
         assert qt.matrix == identity_matrix(2)
 
 
