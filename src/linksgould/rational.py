@@ -94,11 +94,33 @@ def _content(values: list[Laurent2], var: int) -> Laurent2:
     return g
 
 
+def _sign(x: Laurent2) -> int:
+    """1 or -1 when x is that constant, else 0."""
+    c = x.coefficient(0, 0) if len(x) == 1 else 0
+    return c if c in (1, -1) else 0
+
+
+def _times(a: Laurent2, b: Laurent2) -> Laurent2:
+    """a * b; a factor of 1 or -1 costs no product."""
+    if sign := _sign(a):
+        return b if sign == 1 else -b
+    if sign := _sign(b):
+        return a if sign == 1 else -a
+    return a * b
+
+
+def _power(x: Laurent2, n: int) -> Laurent2:
+    """x ** n for n >= 0; a base of 1 or -1 costs no product."""
+    if _sign(x):
+        return x if n % 2 else Laurent2.one()
+    return x**n
+
+
 def _scaled(coeffs: list[Laurent2], x: Laurent2) -> list[Laurent2]:
-    """Each coefficient times x; zero coefficients and x = 1 cost no product."""
+    """Each coefficient times x; zero coefficients and units 1, -1 cost no product."""
     if x.is_one():
         return coeffs
-    return [c if c.is_zero() else c * x for c in coeffs]
+    return [c if c.is_zero() else _times(c, x) for c in coeffs]
 
 
 def _divided(coeffs: list[Laurent2], x: Laurent2) -> list[Laurent2]:
@@ -120,11 +142,11 @@ def _prem(a: list[Laurent2], b: list[Laurent2]) -> list[Laurent2]:
         r = _scaled(r, lc)
         for j in range(db):
             if not b[j].is_zero():
-                r[shift + j] = r[shift + j] - top * b[j]
+                r[shift + j] = r[shift + j] - _times(top, b[j])
         while r and r[-1].is_zero():
             r.pop()
         e -= 1
-    return _scaled(r, lc**e) if e > 0 else r
+    return _scaled(r, _power(lc, e)) if e > 0 else r
 
 
 def _gcd(a: Laurent2, b: Laurent2, main: int) -> Laurent2:
@@ -149,12 +171,12 @@ def _gcd(a: Laurent2, b: Laurent2, main: int) -> Laurent2:
         if len(r) == 1:
             g = [Laurent2.one()]
             break
-        f, g = g, _divided(r, lead * h**delta)
+        f, g = g, _divided(r, _times(lead, _power(h, delta)))
         lead = f[-1]
         if delta == 1:
             h = lead
         elif delta > 1:
-            h = (lead**delta).exact_div(h ** (delta - 1))
+            h = _power(lead, delta).exact_div(_power(h, delta - 1))
     return _join(_scaled(_divided(g, _content(g, other)), d), main)
 
 
@@ -272,7 +294,7 @@ class RationalFn:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num._terms
 
     def is_one(self) -> bool:
         return self.num == self.den
@@ -286,6 +308,8 @@ class RationalFn:
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den._terms == _UNIT_TERMS and other.den._terms == _UNIT_TERMS:
+            return _polynomial(self.num + other.num)
         if self.den == other.den:
             return RationalFn(self.num + other.num, self.den)
         return RationalFn(
@@ -316,6 +340,8 @@ class RationalFn:
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den._terms == _UNIT_TERMS and other.den._terms == _UNIT_TERMS:
+            return _polynomial(self.num * other.num)
         return RationalFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -389,6 +415,22 @@ class RationalFn:
     # Equal values can be stored with different amounts of cancellation, so
     # there is no cheap value-respecting hash.
     __hash__ = None
+
+
+_UNIT_TERMS = {(0, 0): 1}
+_DEN_ONE = Laurent2.one()
+
+
+def _polynomial(num: Laurent2) -> RationalFn:
+    """
+    num / 1 without the constructor: a denominator of 1 leaves nothing to
+    cancel or shift, the pair's content is 1 and its sign is positive, so
+    these are the fields ``RationalFn(num)`` would store.
+    """
+    f = RationalFn.__new__(RationalFn)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", _DEN_ONE)
+    return f
 
 
 def _coerce_rat(x):

@@ -55,11 +55,12 @@ Matrix = tuple[tuple[RationalFn, ...], ...]
 _ZERO = RationalFn.zero()
 _ONE = RationalFn.one()
 
-# Input bounds; the CLI exits 3 on going over one.  The dense engine grows
-# about tenfold per strand (6 strands: 3 s, 7 strands: 199 s, on a 2-core
-# x86 machine, Python 3.11).  With D basis states per strand, an n-strand
-# braid spans D^(2n-1) dimensions and validating a fixture spans D^3 at a
-# cost of about D^6 (D = 10: 2 s); both widths are bounded by that of
+# Input bounds; the CLI exits 3 on going over one.  With D basis states per
+# strand, an n-strand braid spans D^(2n-1) dimensions, and the dense engine
+# holds matrices of that size squared: an 8-letter braid takes 0.08 s on
+# 5 strands, 1.2 s on 6 and 20 s with a 660 MB peak on 7 (LG^(1,1), 2-core
+# x86 machine, Python 3.11).  Validating a fixture spans D^3 dimensions at
+# a cost of about D^6 (D = 10: 0.6 s).  Both widths are bounded by that of
 # LG^(1,1) (D = 2) at MAX_TENSOR_STRANDS.
 MAX_TENSOR_STRANDS = 6
 MAX_TENSOR_DIM = 2 ** (2 * MAX_TENSOR_STRANDS - 1)
@@ -83,34 +84,43 @@ def identity_matrix(n: int) -> Matrix:
     )
 
 
+def _nonzero(entries) -> list[tuple[int, RationalFn]]:
+    """The (index, entry) pairs of the nonzero entries, in order."""
+    # The numerator's term map is tested directly: this scan runs once per
+    # entry of every operand, where a method call per entry would dominate.
+    return [(k, x) for k, x in enumerate(entries) if x.num._terms]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    bt = list(zip(*b))
+    width = len(b[0])
+    b_rows = [_nonzero(row) for row in b]
     out = []
     for row in a:
-        hot = [(k, x) for k, x in enumerate(row) if not x.is_zero()]
-        out.append(
-            tuple(
-                sum((x * bt[j][k] for k, x in hot if not bt[j][k].is_zero()), _ZERO)
-                for j in range(len(b[0]))
-            )
-        )
+        # Each entry sums its products in increasing k, as a dot product would.
+        acc: list[RationalFn | None] = [None] * width
+        for k, x in _nonzero(row):
+            for j, y in b_rows[k]:
+                s = acc[j]
+                acc[j] = x * y if s is None else s + x * y
+        out.append(tuple(_ZERO if s is None else s for s in acc))
     return tuple(out)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    rb, cb = len(b), len(b[0])
+    cb = len(b[0])
+    width = len(a[0]) * cb
+    b_rows = [_nonzero(row) for row in b]
     out = []
     for ra_row in a:
-        for rb_row in b:
-            out.append(
-                tuple(
-                    x * y if not x.is_zero() and not y.is_zero() else _ZERO
-                    for x in ra_row
-                    for y in rb_row
-                )
-            )
+        a_hot = [(i * cb, x) for i, x in _nonzero(ra_row)]
+        for b_hot in b_rows:
+            row = [_ZERO] * width
+            for base, x in a_hot:
+                for j, y in b_hot:
+                    row[base + j] = x * y
+            out.append(tuple(row))
     return tuple(out)
 
 
@@ -349,6 +359,17 @@ def dump_fixture(a: TensorAssignment, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+def _fixture_matrix(doc: dict, name: str) -> Matrix:
+    rows = doc[name]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(isinstance(x, str) for x in row) for row in rows
+    ):
+        raise FixtureValidationError(
+            f"fixture field {name!r} must be a list of rows of expression strings"
+        )
+    return _mat([[parse_rational(x) for x in row] for row in rows])
+
+
 def load_fixture(path: str | Path) -> TensorAssignment:
     """
     Read an assignment from JSON and re-run every validation check;
@@ -359,17 +380,18 @@ def load_fixture(path: str | Path) -> TensorAssignment:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FixtureValidationError(f"cannot read fixture: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FixtureValidationError("fixture must be a JSON object")
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise FixtureValidationError(f"fixture dim must be an integer, got {dim!r}")
         if dim ** 3 > MAX_TENSOR_DIM:
             raise BudgetError(
                 f"fixture validation width {dim}^3 = {dim ** 3} "
                 f"exceeds the bound of {MAX_TENSOR_DIM}"
             )
-        mats = {
-            name: _mat([[parse_rational(x) for x in row] for row in doc[name]])
-            for name in _FIXTURE_FIELDS
-        }
+        mats = {name: _fixture_matrix(doc, name) for name in _FIXTURE_FIELDS}
     except KeyError as exc:
         raise FixtureValidationError(f"fixture is missing field {exc}") from exc
     try:

@@ -244,6 +244,29 @@ def test_tensor_eval_bad_fixture(capsys, tmp_path):
     assert "fixture" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [(None, []), ("R", 5), ("R", [[1]]), ("R", [1])],
+    ids=["document-list", "R-int", "R-int-entry", "R-int-row"],
+)
+def test_tensor_eval_malformed_fixture(capsys, tmp_path, field, value):
+    # Shape and type errors in the document are refused like failed axioms:
+    # main returns exit 1 with one error line, no traceback.
+    path = tmp_path / "lg11.json"
+    dump_fixture(lg11_fixture(), path)
+    doc = json.loads(path.read_text())
+    if field is None:
+        doc = value
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: fixture")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not-a-suite"])

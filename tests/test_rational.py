@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +163,57 @@ def test_gcd_sign_follows_leading_term():
     assert g == t(1) - q(1)
     assert g.leading_term() == ((1, 0), 1)
     assert laurent_gcd(q(1) + 1, -q(1) - 1) == q(1) + 1
+
+
+# Counts the Laurent2 products made inside laurent_gcd during the
+# theorem-grid report, in a fresh interpreter so that no cache is warm.
+_COUNT_GCD_PRODUCTS = """
+import contextlib, hashlib, io, json
+from linksgould import rational
+from linksgould.cli import main
+from linksgould.laurent import Laurent2
+
+counts = {"products": 0, "unit": 0}
+depth = 0
+mul, gcd = Laurent2.__mul__, rational.laurent_gcd
+
+def counting_mul(a, b):
+    if depth:
+        counts["products"] += 1
+        counts["unit"] += any(x == 1 or x == -1 for x in (a, b))
+    return mul(a, b)
+
+def counting_gcd(a, b):
+    global depth
+    depth += 1
+    try:
+        return gcd(a, b)
+    finally:
+        depth -= 1
+
+Laurent2.__mul__ = counting_mul
+rational.laurent_gcd = counting_gcd
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(["verify", "theorem2", "--max-m", "8", "--max-k", "8", "--format", "json"])
+counts["digest"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps(counts))
+"""
+
+
+def test_gcd_makes_no_unit_products():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_GCD_PRODUCTS],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    counts = json.loads(done.stdout)
+    assert counts["digest"] == (
+        "6c435f2e4b0e3a68e140092f7314551c4d9bffd7a157d56cdf98213fcc0509ff"
+    )
+    assert counts["products"] > 500  # the grid's gcds really ran
+    assert counts["unit"] == 0

@@ -24,6 +24,10 @@ PINNED_REPORTS = {
         ["lg21-qminus1"],
         "6c47435e979e7fd27301e77a5d847fee0aff0218efdbfce7cee728b23200d782",
     ),
+    "tensor-oracle": (
+        ["tensor-oracle"],
+        "4526b3748a679c602871dd0cd3f8108e3502961ef1c031f8aeb3004b7fcb3ab9",
+    ),
 }
 
 
