@@ -13,7 +13,6 @@ from linksgould import (
     canonical_key,
     component_count,
     conway,
-    conway_substituted,
     is_split,
     parse_braid,
     smooth_crossing,
@@ -57,7 +56,7 @@ print("  conjugated  ", conway(braid_closure(w.conjugated(2))).render("s"))
 print("  stabilized  ", conway(braid_closure(w.stabilized(-1))).render("s"))
 
 # The substitution s -> t^m feeds the spectral comparisons: Delta(t^(2m)).
-print("\ntrefoil Delta with s -> t^2:", conway_substituted(trefoil, 2))
+print("\ntrefoil Delta with s -> t^2:", conway(trefoil).substitute_power(2))
 
 # Large inputs are guarded by an explicit crossing budget.
 big = BraidWord(2, ((1, 1),) * 12)

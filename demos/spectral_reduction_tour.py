@@ -16,10 +16,9 @@ except ImportError:
 
 from linksgould import (
     BraidWord,
-    SpectralTangle,
     braid_closure,
     braiding_eigenvalue,
-    conway_substituted,
+    conway,
     lg_closed_2braid,
     projector_trace,
     reduce_at_root,
@@ -35,10 +34,11 @@ for i in range(m + 1):
     print(f"  cl(P_{i}) =", projector_trace(m, i))
 
 # The normalization that pins everything down: weighted trace of the
-# braiding and its inverse are 1, of the identity 0.
-print("trace of R:    ", SpectralTangle.braiding(m).quantum_trace())
-print("trace of R^-1: ", SpectralTangle.braiding_inverse(m).quantum_trace())
-print("trace of id:   ", SpectralTangle.identity(m).quantum_trace())
+# braiding and its inverse are 1, of the identity 0.  A closed 2-braid
+# sigma^k is the trace of R^k.
+print("trace of R:    ", lg_closed_2braid(m, 1))
+print("trace of R^-1: ", lg_closed_2braid(m, -1))
+print("trace of id:   ", lg_closed_2braid(m, 0))
 
 # Generic-q value of a closed 2-braid, then its reduction at q = i.
 k = 3
@@ -47,10 +47,9 @@ print(f"\nLG^({m},1) of the closed 2-braid sigma^{k}:")
 print("  generic q:", value)
 reduced = reduce_at_root(value, m, 1)
 print("  at q = i: ", reduced, " (mod", str(reduced.modulus()) + ")")
-print("  Alexander side:", conway_substituted(braid_closure(
-    BraidWord(2, ((1, 1),) * k)), m))
-print("  equal exactly:", reduced == conway_substituted(
-    braid_closure(BraidWord(2, ((1, 1),) * k)), m))
+alexander = conway(braid_closure(BraidWord(2, ((1, 1),) * k))).substitute_power(m)
+print("  Alexander side:", alexander)
+print("  equal exactly:", reduced == alexander)
 
 # Why that works: at the root, every inner projector trace is zero...
 print("\nreduced traces at q = i:")

@@ -30,4 +30,4 @@ for name in sorted(SUITES):
 # lives outside the comparison payload).
 report = run_suite("lg21-qminus1", max_k=3)
 print("\nJSON of a small report:")
-print(report.to_json(stable=True))
+print(report.to_json())

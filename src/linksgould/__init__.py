@@ -17,7 +17,7 @@ The package has four layers:
 zero-tolerance exact comparisons.
 """
 from .braid import BraidWord, parse_braid
-from .conway import conway, conway_substituted
+from .conway import conway
 from .cyclotomic import CycloFraction, cyclotomic_poly, reduce_at_root, root_order
 from .diagram import (
     OrientedDiagram,
@@ -42,21 +42,18 @@ from .laurent import HalfLaurent, Laurent2
 from .rational import RationalFn, laurent_gcd
 from .sliced import Piece, SlicedDiagram, to_sliced
 from .spectral import (
-    EigenvalueSet,
-    SpectralTangle,
     WeightLabel,
     braiding_eigenvalue,
     braiding_eigenvalue_inverse,
     characteristic_identity_holds,
-    eigenvalue_set,
     lg_closed_2braid,
     module_decomposition,
     projector_trace,
+    quantum_trace,
     skein_coefficient_report,
     weight_decompositions,
 )
 from .tensor import (
-    Bracket,
     TensorAssignment,
     ValidationReport,
     bracket,
@@ -86,10 +83,8 @@ __all__ = [
     "parse_half",
     "braiding_eigenvalue",
     "braiding_eigenvalue_inverse",
-    "EigenvalueSet",
-    "eigenvalue_set",
     "projector_trace",
-    "SpectralTangle",
+    "quantum_trace",
     "lg_closed_2braid",
     "skein_coefficient_report",
     "characteristic_identity_holds",
@@ -107,14 +102,12 @@ __all__ = [
     "canonical_key",
     "writhe",
     "conway",
-    "conway_substituted",
     "Piece",
     "SlicedDiagram",
     "to_sliced",
     "TensorAssignment",
     "ValidationReport",
     "validate_assignment",
-    "Bracket",
     "bracket",
     "braid_bracket",
     "scalar_of",

@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
         corrupt_eigenvalues=args.inject_xi_error,
     )
     if args.format == "json":
-        print(report.to_json(stable=True))
+        print(report.to_json())
     else:
         print(report)
     return 0 if report.passed else 1

@@ -29,9 +29,9 @@ from .diagram import (
     switch_crossing,
 )
 from .errors import CrossingBudgetError
-from .laurent import HalfLaurent, Laurent2
+from .laurent import HalfLaurent
 
-__all__ = ["conway", "conway_substituted", "first_violation"]
+__all__ = ["conway", "first_violation"]
 
 DEFAULT_CROSSING_BUDGET = 64
 
@@ -104,10 +104,3 @@ def conway(
         stack.append((switched, skey, None))
         stack.append((smoothed, mkey, None))
     return memo[root]
-
-
-def conway_substituted(
-    d: OrientedDiagram, m: int, budget: int = DEFAULT_CROSSING_BUDGET
-) -> Laurent2:
-    """conway(d) with s replaced by t^m (so t_classical = t^(2m))."""
-    return conway(d, budget).substitute_power(m)

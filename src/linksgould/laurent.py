@@ -184,7 +184,13 @@ class _SparseLaurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # A constant equals its int, so it hashes as that int (zero as 0).
+        terms = self._terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and self._UNIT in terms:
+            return hash(terms[self._UNIT])
+        return hash(frozenset(terms.items()))
 
 
 class Laurent2(_SparseLaurent):

@@ -27,10 +27,8 @@ from .rational import RationalFn
 __all__ = [
     "braiding_eigenvalue",
     "braiding_eigenvalue_inverse",
-    "EigenvalueSet",
-    "eigenvalue_set",
     "projector_trace",
-    "SpectralTangle",
+    "quantum_trace",
     "lg_closed_2braid",
     "SkeinCoefficient",
     "skein_coefficient_report",
@@ -41,11 +39,10 @@ __all__ = [
 ]
 
 
-# The caches below hold every m, or every (m, i) with 0 <= i <= m, up to
-# m = 16, the CLI's bound on m (cli.MAX_LG_M), and evict beyond that, so a
-# long-lived process keeps them bounded.
-_CACHED_M = 16
-_CACHED_PAIRS = sum(m + 1 for m in range(1, _CACHED_M + 1))
+# The caches below hold every (m, i) with 0 <= i <= m up to m = 16, the
+# CLI's bound on m (cli.MAX_LG_M), and evict beyond that, so a long-lived
+# process keeps them bounded.
+_CACHED_PAIRS = sum(m + 1 for m in range(1, 16 + 1))
 
 
 def _check_index(m: int, i: int) -> None:
@@ -70,21 +67,6 @@ def braiding_eigenvalue(m: int, i: int) -> Laurent2:
 def braiding_eigenvalue_inverse(m: int, i: int) -> Laurent2:
     """Exact inverse of the (unit monomial) braiding eigenvalue."""
     return braiding_eigenvalue(m, i).monomial_inverse()
-
-
-@dataclass(frozen=True)
-class EigenvalueSet:
-    """The full eigenvalue list for one m, with the squares alongside."""
-
-    m: int
-    xi: tuple[Laurent2, ...]
-    gamma: tuple[Laurent2, ...]
-
-
-@lru_cache(maxsize=_CACHED_M)
-def eigenvalue_set(m: int) -> EigenvalueSet:
-    xi = tuple(braiding_eigenvalue(m, i) for i in range(m + 1))
-    return EigenvalueSet(m=m, xi=xi, gamma=tuple(x * x for x in xi))
 
 
 def _q_bracket(k: int) -> Laurent2:
@@ -151,103 +133,34 @@ def projector_trace(m: int, i: int) -> RationalFn:
     return RationalFn(num, den)
 
 
-class SpectralTangle:
+def quantum_trace(m: int, coefficients) -> RationalFn:
     """
-    A (2,2)-tangle in spectral coordinates: the coefficient vector of its
-    expansion over the projectors.  Projector orthogonality makes
-    composition pointwise.
+    The quantum trace sum_i c_i * trace_i of the (2,2)-tangle whose
+    expansion over the projectors has the Laurent2 coefficients c_0..c_m.
 
-    >>> r = SpectralTangle.braiding(2)
-    >>> r.compose(SpectralTangle.braiding_power(2, -1)) == SpectralTangle.identity(2)
-    True
+    The sum is assembled over one common denominator, the product of the
+    distinct trace factors.  Each part is multiplied once by the factors
+    its own trace lacks, so no gcd runs before the final normalization.
+
+    >>> quantum_trace(2, [Laurent2.one()] * 3)
+    RationalFn('0')
     """
-
-    __slots__ = ("m", "coefficients")
-
-    def __init__(self, m: int, coefficients):
-        coeffs = tuple(
-            c if isinstance(c, RationalFn) else RationalFn(c)
-            for c in coefficients
-        )
-        if len(coeffs) != m + 1:
-            raise ValueError(f"need {m + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SpectralTangle is immutable")
-
-    @classmethod
-    def identity(cls, m: int) -> SpectralTangle:
-        return cls(m, [RationalFn.one()] * (m + 1))
-
-    @classmethod
-    def braiding(cls, m: int) -> SpectralTangle:
-        return cls.braiding_power(m, 1)
-
-    @classmethod
-    def braiding_inverse(cls, m: int) -> SpectralTangle:
-        return cls.braiding_power(m, -1)
-
-    @classmethod
-    def braiding_power(cls, m: int, k: int) -> SpectralTangle:
-        """k-th power of the braiding; negative k uses exact monomial inverses."""
-        if k >= 0:
-            coeffs = [braiding_eigenvalue(m, i) ** k for i in range(m + 1)]
-        else:
-            coeffs = [
-                braiding_eigenvalue_inverse(m, i) ** (-k) for i in range(m + 1)
-            ]
-        return cls(m, coeffs)
-
-    def compose(self, other: SpectralTangle) -> SpectralTangle:
-        if self.m != other.m:
-            raise ValueError(f"mixed spectral sizes m={self.m} and m={other.m}")
-        return SpectralTangle(
-            self.m,
-            [a * b for a, b in zip(self.coefficients, other.coefficients)],
-        )
-
-    def quantum_trace(self) -> RationalFn:
-        """
-        Sum of coefficient * projector trace.
-
-        The sum is assembled over one common denominator: the product of
-        the coefficients' denominators and of the distinct trace factors.
-        Each part is multiplied once by what its own denominator lacks,
-        so no gcd runs before the final normalization.
-        """
-        m = self.m
-        all_ws = sorted({w for i in range(m + 1) for w in _trace_parts(m, i)[1]})
-        scale = Laurent2.one()
-        for a in self.coefficients:
-            scale = scale * a.den
-        total = Laurent2.zero()
-        for i, a in enumerate(self.coefficients):
-            num_i, ws = _trace_parts(m, i)
-            part = num_i * a.num * scale.exact_div(a.den)
-            used = set(ws)
-            for w in all_ws:
-                if w not in used:
-                    part = part * _t2_factor(w)
-            total = total + part
-        den = scale
+    if len(coefficients) != m + 1:
+        raise ValueError(f"need {m + 1} coefficients, got {len(coefficients)}")
+    all_ws = sorted({w for i in range(m + 1) for w in _trace_parts(m, i)[1]})
+    total = Laurent2.zero()
+    for i, c in enumerate(coefficients):
+        num_i, ws = _trace_parts(m, i)
+        part = num_i * c
+        used = set(ws)
         for w in all_ws:
-            den = den * _t2_factor(w)
-        return RationalFn(total, den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpectralTangle):
-            return NotImplemented
-        return self.m == other.m and all(
-            a == b for a, b in zip(self.coefficients, other.coefficients)
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        inner = ", ".join(c.render() for c in self.coefficients)
-        return f"SpectralTangle(m={self.m}, [{inner}])"
+            if w not in used:
+                part = part * _t2_factor(w)
+        total = total + part
+    den = Laurent2.one()
+    for w in all_ws:
+        den = den * _t2_factor(w)
+    return RationalFn(total, den)
 
 
 def lg_closed_2braid(m: int, k: int) -> RationalFn:
@@ -255,7 +168,7 @@ def lg_closed_2braid(m: int, k: int) -> RationalFn:
     LG^(m,1) of the closure of the k-th power of the 2-strand generator,
     as a function of t and q: sum_i xi_i^k * trace_i.
     """
-    return SpectralTangle.braiding_power(m, k).quantum_trace()
+    return quantum_trace(m, [braiding_eigenvalue(m, i) ** k for i in range(m + 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +211,9 @@ def characteristic_identity_holds(
     default list this is an identity; a perturbed list is the natural
     negative control.
     """
-    model = eigenvalue_set(m).xi if eigenvalues is None else tuple(eigenvalues)
+    if eigenvalues is None:
+        eigenvalues = [braiding_eigenvalue(m, i) for i in range(m + 1)]
+    model = tuple(eigenvalues)
     if len(model) != m + 1:
         raise ValueError(f"need {m + 1} eigenvalues, got {len(model)}")
     for i in range(m + 1):

@@ -38,7 +38,6 @@ __all__ = [
     "ValidationCheck",
     "ValidationReport",
     "validate_assignment",
-    "Bracket",
     "bracket",
     "braid_bracket",
     "scalar_of",
@@ -202,45 +201,34 @@ class ValidationReport:
         )
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """A linear map carried by a diagram: D^domain -> D^codomain."""
-
-    domain: int
-    codomain: int
-    matrix: Matrix
-
-
-def bracket(d: SlicedDiagram, a: TensorAssignment) -> Bracket:
+def bracket(d: SlicedDiagram, a: TensorAssignment) -> Matrix:
     """
     Evaluate a sliced diagram bottom-to-top as a matrix over exact
-    scalars.  The empty diagram is the scalar 1.
+    scalars, mapping D^len(bottom) to D^len(top) dimensions.  The empty
+    diagram is the scalar 1.
     """
     d.validate()
     if not d.rows:
-        return Bracket(0, 0, _mat([[1]]))
+        return _mat([[1]])
     total: Matrix | None = None
     for row in d.rows:
         m = a.piece_matrix(row[0])
         for piece in row[1:]:
             m = kron(m, a.piece_matrix(piece))
         total = m if total is None else mat_mul(m, total)
-    dom = len(d.bottom())
-    cod = len(d.top())
-    return Bracket(dom, cod, total)
+    return total
 
 
-def braid_bracket(word: BraidWord, a: TensorAssignment) -> Bracket:
+def braid_bracket(word: BraidWord, a: TensorAssignment) -> Matrix:
     """Bracket of the braid closure sliced as a (1,1)-tangle."""
     return bracket(to_sliced(word, keep_open=True), a)
 
 
-def scalar_of(b: Bracket) -> RationalFn:
+def scalar_of(m: Matrix) -> RationalFn:
     """
-    The scalar lambda with matrix = lambda * id, for a (1,1)-tangle
-    bracket; raises NotScalarError (with the offending entry) otherwise.
+    The scalar lambda with m = lambda * id, for a (1,1)-tangle bracket;
+    raises NotScalarError (with the offending entry) otherwise.
     """
-    m = b.matrix
     if len(m) != len(m[0]):
         raise NotScalarError(f"bracket is {len(m)}x{len(m[0])}, not square")
     lam = m[0][0]
@@ -294,7 +282,7 @@ def validate_assignment(a: TensorAssignment) -> ValidationReport:
     """Check every isotopy, reporting a witness entry for each failure."""
     checks: list[ValidationCheck] = []
     for name, lhs, rhs in _ISOTOPIES:
-        got, want = bracket(lhs, a).matrix, bracket(rhs, a).matrix
+        got, want = bracket(lhs, a), bracket(rhs, a)
         where = _first_mismatch(got, want)
         witness = None
         if where is not None:

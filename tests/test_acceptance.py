@@ -9,13 +9,12 @@ import time
 from math import gcd
 
 from linksgould.braid import BraidWord
-from linksgould.conway import conway, conway_substituted
+from linksgould.conway import conway
 from linksgould.cyclotomic import reduce_at_root
 from linksgould.diagram import braid_closure, component_count
 from linksgould.laurent import HalfLaurent, Laurent2
 from linksgould.rational import RationalFn
 from linksgould.spectral import (
-    SpectralTangle,
     braiding_eigenvalue,
     braiding_eigenvalue_inverse,
     lg_closed_2braid,
@@ -58,7 +57,7 @@ def test_criterion_1_theorem1_grid():
     for m in range(1, 7):
         for k in range(-6, 7):
             left = reduce_at_root(lg_closed_2braid(m, k), m, 1)
-            right = conway_substituted(braid_closure(sigma_power(k)), m)
+            right = conway(braid_closure(sigma_power(k))).substitute_power(m)
             if left != right:
                 ok = False
     elapsed = time.perf_counter() - started
@@ -72,7 +71,7 @@ def test_criterion_2_theorem2_grid():
         for r in valid_roots(m):
             for k in range(-6, 7):
                 left = reduce_at_root(lg_closed_2braid(m, k), m, r)
-                right = conway_substituted(braid_closure(sigma_power(k)), m)
+                right = conway(braid_closure(sigma_power(k))).substitute_power(m)
                 if left != right:
                     ok = False
     _report(2, "theorem2 grid, all coprime r", ok)
@@ -113,11 +112,11 @@ def test_criterion_5_eigenvalue_endpoints():
 def test_criterion_6_scaling_contract():
     ok = True
     for m in range(1, 9):
-        if SpectralTangle.braiding(m).quantum_trace() != ONE:
+        if lg_closed_2braid(m, 1) != ONE:
             ok = False
-        if SpectralTangle.braiding_inverse(m).quantum_trace() != ONE:
+        if lg_closed_2braid(m, -1) != ONE:
             ok = False
-        if SpectralTangle.identity(m).quantum_trace() != ZERO:
+        if lg_closed_2braid(m, 0) != ZERO:
             ok = False
     _report(6, "scaling contract: weighted trace sums are 1, 1, 0; m<=8", ok)
 

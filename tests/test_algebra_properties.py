@@ -55,6 +55,17 @@ def test_half_laurent_ring_laws(a, b, c, n):
 
 
 @laws
+@given(st.one_of(laurent2, half), st.integers())
+def test_constants_hash_as_their_int(a, n):
+    for cls in (Laurent2, HalfLaurent):
+        assert hash(cls.const(n)) == hash(n)
+        assert len({n, cls.const(n)}) == 1
+    assert hash(Laurent2.zero()) == hash(HalfLaurent.zero()) == 0
+    if a == n:
+        assert hash(a) == hash(n)
+
+
+@laws
 @given(st.integers(-6, 6), st.integers(-6, 6), st.sampled_from((1, -1)), st.integers(-3, 3))
 def test_unit_monomial_inverse(et, eq, sign, n):
     for u in (Laurent2.term(sign, et, eq), sign * HalfLaurent.s(et)):

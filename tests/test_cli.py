@@ -157,6 +157,27 @@ def test_fixture_validation_bound(capsys, tmp_path):
     assert f"width 13^3 = {13 ** 3} exceeds the bound of {MAX_TENSOR_DIM}" in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "t*(t+q+1)^200/(t+q+1)^200",
+        "t*(t+q+1)^32/(t+q+1)^32",
+        "t*(t+q+1)^48/(t+q+1)^48",
+        "t*((t+q+1)^8)^16/((t+q+1)^8)^16",
+    ],
+)
+def test_fixture_entry_size_bound(capsys, tmp_path, entry):
+    # Each entry has the value t of the LG^(1,1) fixture's R[0][0], but
+    # builds a fraction too large to cancel; it is refused while parsing.
+    path = tmp_path / "lg11.json"
+    dump_fixture(lg11_fixture(), path)
+    doc = json.loads(path.read_text())
+    doc["R"][0][0] = entry
+    path.write_text(json.dumps(doc))
+    err = run_over_bound(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 1 1")
+    assert "above the bound of 200" in err
+
+
 def test_lg2braid_generic(capsys):
     code, out, _ = run(capsys, "lg2braid", "--m", "1", "--k", "2")
     assert code == 0

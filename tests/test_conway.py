@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from linksgould.braid import BraidWord, parse_braid
-from linksgould.conway import conway, conway_substituted, first_violation
+from linksgould.conway import conway, first_violation
 from linksgould.diagram import braid_closure, canonical_key, component_count
 from linksgould.errors import CrossingBudgetError
 from linksgould.laurent import HalfLaurent, Laurent2
@@ -60,9 +60,9 @@ def test_closed_2braid_oracle():
 
 
 def test_substitution():
-    assert conway_substituted(closure("1 1 1"), 2) == t(4) - 1 + t(-4)
-    assert conway_substituted(closure("", strands=1), 7) == Laurent2.one()
-    assert conway_substituted(closure("1 1"), 1) == t(1) - t(-1)
+    assert conway(closure("1 1 1")).substitute_power(2) == t(4) - 1 + t(-4)
+    assert conway(closure("", strands=1)).substitute_power(7) == Laurent2.one()
+    assert conway(closure("1 1")).substitute_power(1) == t(1) - t(-1)
 
 
 def test_mirror_negates_odd_part():

@@ -8,16 +8,15 @@ from linksgould.cyclotomic import CycloFraction, reduce_at_root
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
 from linksgould.spectral import (
-    SpectralTangle,
     WeightLabel,
     _trace_parts,
     braiding_eigenvalue,
     braiding_eigenvalue_inverse,
     characteristic_identity_holds,
-    eigenvalue_set,
     lg_closed_2braid,
     module_decomposition,
     projector_trace,
+    quantum_trace,
     skein_coefficient_report,
     weight_decompositions,
 )
@@ -46,13 +45,11 @@ def test_eigenvalue_examples():
 
 def test_eigenvalue_set_invariants():
     for m in range(1, 9):
-        es = eigenvalue_set(m)
-        assert len(es.xi) == m + 1
+        xi = [braiding_eigenvalue(m, i) for i in range(m + 1)]
         for i in range(m + 1):
-            assert es.gamma[i] == es.xi[i] * es.xi[i]
             assert braiding_eigenvalue(m, i) * braiding_eigenvalue_inverse(m, i) == Laurent2.one()
             for j in range(i + 1, m + 1):
-                assert es.xi[i] != es.xi[j]
+                assert xi[i] != xi[j]
 
 
 def test_trace_m1():
@@ -112,9 +109,9 @@ def test_traces_match_fraction_oracle(point):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_scaling_contract_symbolic(m):
-    assert SpectralTangle.braiding(m).quantum_trace() == ONE
-    assert SpectralTangle.braiding_inverse(m).quantum_trace() == ONE
-    assert SpectralTangle.identity(m).quantum_trace() == ZERO
+    assert lg_closed_2braid(m, 1) == ONE
+    assert lg_closed_2braid(m, -1) == ONE
+    assert lg_closed_2braid(m, 0) == ZERO
 
 
 def test_caches_are_bounded_and_hold_every_cli_m():
@@ -122,7 +119,6 @@ def test_caches_are_bounded_and_hold_every_cli_m():
     # large enough that no m the CLI accepts is ever evicted.
     pairs = sum(m + 1 for m in range(1, MAX_LG_M + 1))
     for fn, need in (
-        (eigenvalue_set, MAX_LG_M),
         (_trace_parts, pairs),
         (projector_trace, pairs),
     ):
@@ -131,29 +127,35 @@ def test_caches_are_bounded_and_hold_every_cli_m():
 
 
 def test_compose_is_pointwise():
-    r = SpectralTangle.braiding(2)
-    rinv = SpectralTangle.braiding_inverse(2)
-    assert r.compose(rinv) == SpectralTangle.identity(2)
-    a = SpectralTangle(2, [RationalFn(t(1)), RationalFn(2), RationalFn(q(1))])
-    assert a.compose(SpectralTangle.identity(2)) == a
+    # Composing R with R^-1 multiplies their coefficient vectors entry by
+    # entry, which gives the identity's vector of ones, whose trace is 0.
+    one = Laurent2.one()
+    composed = [braiding_eigenvalue(2, i) * braiding_eigenvalue(2, i) ** -1 for i in range(3)]
+    assert composed == [one] * 3
+    assert quantum_trace(2, composed) == ZERO
+    assert quantum_trace(2, [t(1), Laurent2.const(2), q(1)]) == sum(
+        (RationalFn(c) * projector_trace(2, i) for i, c in enumerate([t(1), 2, q(1)])),
+        ZERO,
+    )
     with pytest.raises(ValueError):
-        a.compose(SpectralTangle.identity(3))
+        quantum_trace(2, [one] * 4)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, -2])
 def test_braiding_powers_m2(k):
-    st = SpectralTangle.braiding_power(2, k)
-    assert st.coefficients[0] == RationalFn(t(2 * k))
-    assert st.coefficients[1] == RationalFn((-1) ** (k % 2))
-    assert st.coefficients[2] == RationalFn(t(-2 * k) * q(2 * k))
+    assert braiding_eigenvalue(2, 0) ** k == t(2 * k)
+    assert braiding_eigenvalue(2, 1) ** k == (-1) ** (k % 2)
+    assert braiding_eigenvalue(2, 2) ** k == t(-2 * k) * q(2 * k)
 
 
 def test_power_composition_symmetry():
     for m in (1, 2, 3):
         for k in (2, 5):
-            fwd = SpectralTangle.braiding_power(m, k)
-            bwd = SpectralTangle.braiding_power(m, -k)
-            assert fwd.compose(bwd) == SpectralTangle.identity(m)
+            for i in range(m + 1):
+                fwd = braiding_eigenvalue(m, i) ** k
+                bwd = braiding_eigenvalue(m, i) ** -k
+                assert fwd * bwd == Laurent2.one()
+                assert bwd == braiding_eigenvalue_inverse(m, i) ** k
 
 
 def test_closed_2braid_values():
@@ -258,7 +260,7 @@ def test_characteristic_identity():
     assert characteristic_identity_holds(1)
     assert characteristic_identity_holds(2)
     assert characteristic_identity_holds(5)
-    xs = list(eigenvalue_set(2).xi)
+    xs = [braiding_eigenvalue(2, i) for i in range(3)]
     xs[1] = xs[1] + 1
     assert not characteristic_identity_holds(2, tuple(xs))
     with pytest.raises(ValueError):

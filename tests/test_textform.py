@@ -2,10 +2,15 @@ import random
 
 import pytest
 
-from linksgould.errors import ParseError
+from linksgould.errors import BudgetError, ParseError
 from linksgould.laurent import HalfLaurent, Laurent2
 from linksgould.rational import RationalFn
-from linksgould.textform import parse_half, parse_laurent2, parse_rational
+from linksgould.textform import (
+    MAX_EXPRESSION_TERMS,
+    parse_half,
+    parse_laurent2,
+    parse_rational,
+)
 
 t = Laurent2.t
 q = Laurent2.q
@@ -79,6 +84,30 @@ def test_parse_errors():
         parse_half("s/(s+1)")
     with pytest.raises(ParseError):
         parse_rational("1/(t - t)")
+
+
+def test_expression_size_bound():
+    # (t+1)^n has n+1 terms: the largest power within the bound parses, the
+    # next is refused before it is computed, whatever the route to it.
+    n = MAX_EXPRESSION_TERMS - 1
+    assert len(parse_laurent2(f"(t+1)^{n}")) == MAX_EXPRESSION_TERMS
+    assert parse_rational(f"(t+1)^{n}/(q+1)^{n}").evaluate(1, 1) == 1
+    for text in [
+        f"(t+1)^{n + 1}",
+        f"(t+1)^-{n + 1}",
+        f"1/(t+1)^{n + 1}",
+        f"(t+1)^{n}*(t+1)",
+        f"(t+1)^{n} + t^{n + 1}",
+        f"1/(t+1)^{n} + 1/(t+1)",
+        f"(t+1)^{n}/(1/(t+1))",
+        "((t+q+1)^8)^16",
+        "(t+1)^99999999999999999999",
+    ]:
+        with pytest.raises(BudgetError):
+            parse_rational(text)
+    with pytest.raises(BudgetError):
+        parse_half(f"(s+1)^{n + 1}")
+    assert parse_rational("t^99999999999999999999") == RationalFn(t(10**20 - 1))
 
 
 def test_half_grammar_variables():

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from linksgould.cli import main
-from linksgould.verify import ReportDocument, run_suite
+from linksgould.verify import run_suite
 
 # SHA-256 of `verify <suite> --format json` reports.  The theorem2 one is
 # as the direct route computes it, every cell reduced at its own root;
@@ -77,6 +77,20 @@ def test_corrupted_theorem2_fails_the_same_cells():
     assert report.counts == {"total": 84, "failed": 12}
 
 
+def test_corrupted_theorem2_report_bytes_pinned(capsys):
+    # The corrupted spectral value goes through the same quantum trace as
+    # the true one; its failing report is pinned byte for byte.
+    code = main(
+        ["verify", "theorem2", "--max-m", "4", "--max-k", "3",
+         "--inject-xi-error", "--format", "json"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0cadd7f4aa50370249b5067609cf6958fda3f5acd6b358568906b4521e13c25c"
+    )
+
+
 def test_remaining_suites_pass_smallish():
     assert run_suite("lemma2-vanishing", max_m=5).passed
     assert run_suite("xi-endpoints", max_m=5).passed
@@ -85,21 +99,9 @@ def test_remaining_suites_pass_smallish():
     assert run_suite("tensor-oracle").passed
 
 
-def test_report_round_trip():
-    report = run_suite("xi-endpoints", max_m=3)
-    full = report.to_dict(stable=False)
-    back = ReportDocument.from_dict(full)
-    assert back.suite == report.suite
-    assert back.elapsed_seconds == report.elapsed_seconds
-    assert [c.to_dict() for c in back.cells] == [c.to_dict() for c in report.cells]
-    again = ReportDocument.from_json(report.to_json(stable=True))
-    assert again.elapsed_seconds is None
-    assert again.passed == report.passed
-
-
 def test_stable_json_identical_across_runs():
-    a = run_suite("lg21-qminus1", max_k=4).to_json(stable=True)
-    b = run_suite("lg21-qminus1", max_k=4).to_json(stable=True)
+    a = run_suite("lg21-qminus1", max_k=4).to_json()
+    b = run_suite("lg21-qminus1", max_k=4).to_json()
     assert a == b
     assert "elapsed" not in a
 
