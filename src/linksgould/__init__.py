@@ -44,7 +44,6 @@ from .sliced import Piece, SlicedDiagram, to_sliced
 from .spectral import (
     WeightLabel,
     braiding_eigenvalue,
-    braiding_eigenvalue_inverse,
     characteristic_identity_holds,
     lg_closed_2braid,
     module_decomposition,
@@ -82,7 +81,6 @@ __all__ = [
     "parse_laurent2",
     "parse_half",
     "braiding_eigenvalue",
-    "braiding_eigenvalue_inverse",
     "projector_trace",
     "quantum_trace",
     "lg_closed_2braid",

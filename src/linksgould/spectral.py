@@ -26,7 +26,6 @@ from .rational import RationalFn
 
 __all__ = [
     "braiding_eigenvalue",
-    "braiding_eigenvalue_inverse",
     "projector_trace",
     "quantum_trace",
     "lg_closed_2braid",
@@ -62,11 +61,6 @@ def braiding_eigenvalue(m: int, i: int) -> Laurent2:
     """
     _check_index(m, i)
     return Laurent2.term(-1 if i % 2 else 1, m - 2 * i, i * (i - 1))
-
-
-def braiding_eigenvalue_inverse(m: int, i: int) -> Laurent2:
-    """Exact inverse of the (unit monomial) braiding eigenvalue."""
-    return braiding_eigenvalue(m, i).monomial_inverse()
 
 
 def _q_bracket(k: int) -> Laurent2:
@@ -195,7 +189,7 @@ def skein_coefficient_report(m: int, r: int = 1) -> tuple[SkeinCoefficient, ...]
     rows = []
     for i in range(m + 1):
         xi = reduce_at_root(braiding_eigenvalue(m, i), m, r)
-        xi_inv = reduce_at_root(braiding_eigenvalue_inverse(m, i), m, r)
+        xi_inv = reduce_at_root(braiding_eigenvalue(m, i) ** -1, m, r)
         raw = xi - xi_inv - tm
         product = raw * reduce_at_root(projector_trace(m, i), m, r)
         rows.append(SkeinCoefficient(i=i, raw=raw, product=product))

@@ -18,7 +18,8 @@ scalar yields the link invariant of the closure.
 Everything is dense and exact; shipped fixtures have D = 2, where dense
 is plainly right.  Validation spans D^3 dimensions and costs about D^6,
 so ``load_fixture`` refuses a fixture with D^3 > ``MAX_TENSOR_DIM``
-before any check runs.
+before any check runs, and likewise one whose entries' products, as
+validation forms them, could outgrow the text grammar's expression bound.
 """
 from __future__ import annotations
 
@@ -31,7 +32,13 @@ from .errors import BudgetError, FixtureValidationError, NotScalarError
 from .laurent import Laurent2
 from .rational import RationalFn
 from .sliced import Piece, SlicedDiagram, to_sliced
-from .textform import parse_rational
+from .textform import (
+    _check_size,
+    _fraction_boxes,
+    _product_box,
+    _sum_box,
+    parse_rational,
+)
 
 __all__ = [
     "TensorAssignment",
@@ -278,6 +285,43 @@ _ISOTOPIES: tuple[tuple[str, SlicedDiagram, SlicedDiagram], ...] = tuple(
 )
 
 
+# Validation multiplies one entry of each piece of an isotopy: three of R
+# for Yang-Baxter, R and Rinv for the second move, a cup, R and a cap for
+# the first.  A product whose denominator is not a monomial goes through
+# gcd cancellation, whose cost grows with numerator and denominator
+# together, so both must stay within the parser's expression bound,
+# reckoned from the hull of each piece's entry boxes.  Measured without
+# this check (tensor eval --fixture on "1 1 1", 2-core x86, Python
+# 3.11.7), with each nonzero LG^(1,1) entry e written as e*(t+q+1)^n/D^n:
+# for D = t+2q+3, Yang-Baxter's product boxes hold 91 and 49 points at
+# n = 2 (0.21 s), 160 and 100 at n = 3 (1.1 s, the slowest fixture
+# accepted), 247 and 169 at n = 4 (6.2 s) and 475 and 361 at n = 6 (56 s);
+# for D = t+2, 160 and 10 points at n = 3 (0.60 s) and 247 and 13 at n = 4
+# (3.1 s).  Polynomial products run no gcd and are not checked: D = 1 at
+# n = 10 reaches 1 147 points and takes 0.17 s.  The bound also refuses
+# some cheap fixtures: e/(t+2q+3)^6 reaches 361 denominator points but
+# took 0.16 s.
+def _check_validation_size(a: TensorAssignment) -> None:
+    """Refuse, with BudgetError, a fixture whose validation products are too large."""
+    unit = ((0, 0), (0, 0))
+    for name, lhs, _ in _ISOTOPIES:
+        num = den = unit
+        for piece in (p for row in lhs.rows for p in row if not p.is_identity):
+            # Any entry of the piece may be the factor: take the boxes' hull.
+            hull_n = hull_d = None
+            for row in a.piece_matrix(piece):
+                for x in row:
+                    if not x.is_zero():
+                        n, d = _fraction_boxes(x)
+                        hull_n, hull_d = _sum_box(hull_n, n), _sum_box(hull_d, d)
+            num, den = _product_box(num, hull_n), _product_box(den, hull_d)
+        if den != unit:
+            try:
+                _check_size(num, den)
+            except BudgetError as exc:
+                raise BudgetError(f"fixture check {name}: {exc}") from None
+
+
 def validate_assignment(a: TensorAssignment) -> ValidationReport:
     """Check every isotopy, reporting a witness entry for each failure."""
     checks: list[ValidationCheck] = []
@@ -362,7 +406,8 @@ def load_fixture(path: str | Path) -> TensorAssignment:
     """
     Read an assignment from JSON and re-run every validation check;
     invalid fixtures are refused, and so, with BudgetError before any
-    check runs, is one whose validation width D^3 exceeds MAX_TENSOR_DIM.
+    check runs, is one whose validation width D^3 exceeds MAX_TENSOR_DIM
+    or whose validation products are too large (``_check_validation_size``).
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -386,6 +431,7 @@ def load_fixture(path: str | Path) -> TensorAssignment:
         a = TensorAssignment(dim=dim, **mats)
     except ValueError as exc:
         raise FixtureValidationError(str(exc)) from exc
+    _check_validation_size(a)
     report = validate_assignment(a)
     if not report.ok:
         names = ", ".join(c.name for c in report.failures())

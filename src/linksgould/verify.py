@@ -10,6 +10,11 @@ internal mechanisms (trace vanishing at roots, eigenvalue endpoints,
 skein coefficients, the q = -1 square identity, and the tensor engine
 against the skein engine).
 
+Each suite is a generator that yields its cells in a fixed order, and
+``run_suite`` collects them into a report.  Work shared by cells is done
+in the suite's own loops: the theorem suites compute each skein value once
+per run and reduce each LG value once per root order.
+
 Reports are plain data and serialize to JSON; the comparison payload
 contains no timestamps, so serialized output is stable across runs.
 """
@@ -23,14 +28,13 @@ from math import gcd
 
 from .braid import BraidWord
 from .conway import conway
-from .cyclotomic import CycloFraction, _root_power, reduce_at_root, root_order
+from .cyclotomic import CycloFraction, _root_power, reduce_at_root
 from .diagram import braid_closure
 from .errors import PoleAtRootError
 from .laurent import HalfLaurent, Laurent2
 from .rational import RationalFn
 from .spectral import (
     braiding_eigenvalue,
-    braiding_eigenvalue_inverse,
     lg_closed_2braid,
     projector_trace,
     quantum_trace,
@@ -45,7 +49,6 @@ __all__ = [
     "SUITES",
     "run_suite",
     "sigma_power",
-    "delta_closed_2braid",
 ]
 
 
@@ -72,7 +75,7 @@ class ReportDocument:
     version: str
     suite: str
     cells: tuple[VerificationCell, ...]
-    elapsed_seconds: float | None = None
+    elapsed_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -105,11 +108,7 @@ class ReportDocument:
         counts = self.counts
         lines.append(
             f"{counts['total'] - counts['failed']}/{counts['total']} cells pass"
-            + (
-                f" in {self.elapsed_seconds:.2f}s"
-                if self.elapsed_seconds is not None
-                else ""
-            )
+            f" in {self.elapsed_seconds:.2f}s"
         )
         return "\n".join(lines)
 
@@ -119,14 +118,9 @@ def sigma_power(k: int) -> BraidWord:
     return BraidWord(2, ((1, 1 if k >= 0 else -1),) * abs(k))
 
 
-def delta_closed_2braid(k: int) -> RationalFn:
-    """
-    Alexander-Conway value of the closed 2-braid in s = t:
-    (t^k - (-t)^-k) / (t + t^-1), computed from the skein engine's own
-    output so the spectral side is compared against an independent route.
-    """
-    value = conway(braid_closure(sigma_power(k)))
-    return RationalFn(value.substitute_power(1))
+def _delta_2braid(k: int) -> HalfLaurent:
+    """Alexander-Conway value of the closed 2-braid sigma^k, from the skein engine."""
+    return conway(braid_closure(sigma_power(k)))
 
 
 def _valid_roots(m: int) -> list[int]:
@@ -144,160 +138,123 @@ def _corrupted_lg(m: int, k: int) -> RationalFn:
     return quantum_trace(m, xs)
 
 
-def _theorem_cells(
-    suite: str, max_m: int, max_k: int, roots_all: bool, corrupt: bool
-) -> list:
-    tasks = []
-    orders: dict[int, list[int]] = {}
+def _theorem_suite(suite: str, roots_of, max_m: int, max_k: int, corrupt: bool):
+    """
+    The cells LG^(m,1)(sigma^k) at q = exp(i*pi*r/m) == Delta(sigma^k) at
+    s = t^m, for m <= max_m, r in roots_of(m) and |k| <= max_k.
+    """
+    if max_m < 1:
+        return  # an empty grid computes no value
+    ks = range(-max_k, max_k + 1)
+    deltas = {k: _delta_2braid(k) for k in ks}
     for m in range(1, max_m + 1):
-        roots = _valid_roots(m) if roots_all else [1]
-        # gcd(r, m) = 1 leaves the orders d = 2m and, for odd m, d = m.
-        # For both, r = 2m/d is itself a valid root: exp(2*pi*i/d).
-        orders[m] = sorted({root_order(m, r) for r in roots})
+        roots = roots_of(m)
+        # Each LG value is reduced once per root order d, at exp(2*pi*i/d),
+        # and the other roots of that order get their values as Galois
+        # conjugates.  gcd(r, m) = 1 leaves the orders d = 2m and, for odd
+        # m, d = m; for both, r = 2m/d is itself a valid root.  A zero
+        # denominator stays zero under conjugation, so a pole holds for the
+        # whole order; it is kept as its message, which names only Phi_d.
+        reduced: dict[tuple[int, int], CycloFraction | str] = {}
+        orders = sorted({_root_power(m, r)[0] for r in roots})
+        for k in ks:
+            lg = _corrupted_lg(m, k) if corrupt else lg_closed_2braid(m, k)
+            for d in orders:
+                try:
+                    reduced[d, k] = reduce_at_root(lg, m, 2 * m // d)
+                except PoleAtRootError as exc:
+                    reduced[d, k] = f"pole at root: {exc}"
         for r in roots:
-            for k in range(-max_k, max_k + 1):
-                tasks.append((m, r, k))
-
-    # Work shared by the cells of one run.  Each LG value is reduced once
-    # per root order, at exp(2*pi*i/d); the other roots of that order get
-    # their values as Galois conjugates.  A zero denominator stays zero
-    # under conjugation, so a pole holds for the whole order; it is kept
-    # as its message, which names only Phi_d.
-    deltas: dict[int, HalfLaurent] = {}
-    reduced: dict[tuple[int, int], dict[int, CycloFraction | str]] = {}
-
-    def reduce_orders(m: int, k: int) -> dict[int, CycloFraction | str]:
-        lg = _corrupted_lg(m, k) if corrupt else lg_closed_2braid(m, k)
-        out: dict[int, CycloFraction | str] = {}
-        for d in orders[m]:
-            try:
-                out[d] = reduce_at_root(lg, m, 2 * m // d)
-            except PoleAtRootError as exc:
-                out[d] = f"pole at root: {exc}"
-        return out
-
-    def cell(task):
-        m, r, k = task
-        params = {"m": m, "r": r, "k": k}
-        if k not in deltas:
-            deltas[k] = conway(braid_closure(sigma_power(k)))
-        if (m, k) not in reduced:
-            reduced[m, k] = reduce_orders(m, k)
-        right = deltas[k].substitute_power(m)
-        d, e = _root_power(m, r)
-        base = reduced[m, k][d]
-        if isinstance(base, str):
-            return VerificationCell(suite, params, base, right.render(), False)
-        left = base.conjugate(e)
-        return VerificationCell(
-            suite, params, left.render(), right.render(), left == right
-        )
-
-    return [(cell, t) for t in tasks]
+            d, e = _root_power(m, r)
+            for k in ks:
+                params = {"m": m, "r": r, "k": k}
+                right = deltas[k].substitute_power(m)
+                base = reduced[d, k]
+                if isinstance(base, str):
+                    yield VerificationCell(suite, params, base, right.render(), False)
+                    continue
+                left = base.conjugate(e)
+                yield VerificationCell(
+                    suite, params, left.render(), right.render(), left == right
+                )
 
 
 def _suite_theorem1(max_m: int, max_k: int, corrupt: bool):
-    return _theorem_cells("theorem1", max_m, max_k, roots_all=False, corrupt=corrupt)
+    return _theorem_suite("theorem1", lambda m: [1], max_m, max_k, corrupt)
 
 
 def _suite_theorem2(max_m: int, max_k: int, corrupt: bool):
-    return _theorem_cells("theorem2", max_m, max_k, roots_all=True, corrupt=corrupt)
+    return _theorem_suite("theorem2", _valid_roots, max_m, max_k, corrupt)
 
 
 def _suite_lemma2_vanishing(max_m: int, max_k: int, corrupt: bool):
-    tasks = [
-        (m, r, i)
-        for m in range(1, max_m + 1)
-        for r in _valid_roots(m)
-        for i in range(m + 1)
-    ]
-
-    def cell(task):
-        m, r, i = task
-        params = {"m": m, "r": r, "i": i}
-        try:
-            value = reduce_at_root(projector_trace(m, i), m, r)
-        except PoleAtRootError as exc:
-            return VerificationCell(
-                "lemma2-vanishing", params, f"pole at root: {exc}", "no pole", False
-            )
-        if 0 < i < m:
-            return VerificationCell(
-                "lemma2-vanishing", params, value.render(), "0", value.is_zero()
-            )
-        return VerificationCell(
-            "lemma2-vanishing", params, value.render(), "no pole", True
-        )
-
-    return [(cell, t) for t in tasks]
+    for m in range(1, max_m + 1):
+        for r in _valid_roots(m):
+            for i in range(m + 1):
+                params = {"m": m, "r": r, "i": i}
+                try:
+                    value = reduce_at_root(projector_trace(m, i), m, r)
+                except PoleAtRootError as exc:
+                    left, right, ok = f"pole at root: {exc}", "no pole", False
+                else:
+                    left = value.render()
+                    inner = 0 < i < m
+                    right, ok = ("0", value.is_zero()) if inner else ("no pole", True)
+                yield VerificationCell("lemma2-vanishing", params, left, right, ok)
 
 
 def _suite_xi_endpoints(max_m: int, max_k: int, corrupt: bool):
-    tasks = [(m, r) for m in range(1, max_m + 1) for r in _valid_roots(m)]
-
-    def cell(task):
-        m, r = task
-        params = {"m": m, "r": r}
-        lo = reduce_at_root(braiding_eigenvalue(m, 0), m, r)
-        hi = -reduce_at_root(braiding_eigenvalue_inverse(m, m), m, r)
+    for m in range(1, max_m + 1):
         tm = Laurent2.t(m)
-        ok = lo == tm and hi == tm
-        return VerificationCell(
-            "xi-endpoints",
-            params,
-            f"{lo.render()} ; {hi.render()}",
-            f"{tm.render()} ; {tm.render()}",
-            ok,
-        )
-
-    return [(cell, t) for t in tasks]
+        for r in _valid_roots(m):
+            lo = reduce_at_root(braiding_eigenvalue(m, 0), m, r)
+            hi = -reduce_at_root(braiding_eigenvalue(m, m) ** -1, m, r)
+            yield VerificationCell(
+                "xi-endpoints",
+                {"m": m, "r": r},
+                f"{lo.render()} ; {hi.render()}",
+                f"{tm.render()} ; {tm.render()}",
+                lo == tm and hi == tm,
+            )
 
 
 def _suite_skein_coefficients(max_m: int, max_k: int, corrupt: bool):
-    tasks = [(m, r) for m in range(1, max_m + 1) for r in _valid_roots(m)]
-
-    def cell(task):
-        m, r = task
-        params = {"m": m, "r": r}
-        rows = skein_coefficient_report(m, r)
-        products_zero = all(row.product.is_zero() for row in rows)
-        if m >= 2:
-            witness = any(not rows[i].raw.is_zero() for i in range(1, m))
-            ok = products_zero and witness
-            right = "all products 0; some inner raw coefficient nonzero"
-        else:
-            ok = products_zero and all(row.raw.is_zero() for row in rows)
-            right = "all products 0; all raw coefficients 0"
-        left = "; ".join(
-            f"i={row.i}: raw {'0' if row.raw.is_zero() else 'nonzero'}, "
-            f"product {'0' if row.product.is_zero() else 'NONZERO'}"
-            for row in rows
-        )
-        return VerificationCell("skein-coefficients", params, left, right, ok)
-
-    return [(cell, t) for t in tasks]
+    for m in range(1, max_m + 1):
+        for r in _valid_roots(m):
+            rows = skein_coefficient_report(m, r)
+            products_zero = all(row.product.is_zero() for row in rows)
+            if m >= 2:
+                witness = any(not rows[i].raw.is_zero() for i in range(1, m))
+                ok = products_zero and witness
+                right = "all products 0; some inner raw coefficient nonzero"
+            else:
+                ok = products_zero and all(row.raw.is_zero() for row in rows)
+                right = "all products 0; all raw coefficients 0"
+            left = "; ".join(
+                f"i={row.i}: raw {'0' if row.raw.is_zero() else 'nonzero'}, "
+                f"product {'0' if row.product.is_zero() else 'NONZERO'}"
+                for row in rows
+            )
+            yield VerificationCell(
+                "skein-coefficients", {"m": m, "r": r}, left, right, ok
+            )
 
 
 def _suite_lg21_qminus1(max_m: int, max_k: int, corrupt: bool):
-    tasks = list(range(-max_k, max_k + 1))
-
-    def cell(k):
+    for k in range(-max_k, max_k + 1):
         params = {"m": 2, "k": k, "q": -1}
         left = reduce_at_root(lg_closed_2braid(2, k), 1, 1)
-        square = delta_closed_2braid(k) ** 2
-        right = reduce_at_root(square, 1, 1)
-        return VerificationCell(
+        right = reduce_at_root(_delta_2braid(k).substitute_power(1) ** 2, 1, 1)
+        yield VerificationCell(
             "lg21-qminus1", params, left.render(), right.render(), left == right
         )
-
-    return [(cell, k) for k in tasks]
 
 
 def _suite_tensor_oracle(max_m: int, max_k: int, corrupt: bool):
     fixture = lg11_fixture()
     rng = random.Random(20240917)
     words = []
-    while len(words) < 20:
+    for _ in range(20):
         strands = rng.randint(2, 3)
         length = rng.randint(1, 8)
         letters = tuple(
@@ -305,29 +262,26 @@ def _suite_tensor_oracle(max_m: int, max_k: int, corrupt: bool):
             for _ in range(length)
         )
         words.append(BraidWord(strands, letters))
+    # Drawn for all 20 words and after them, so the words stay those of
+    # the pinned report.
+    positions = [rng.randint(0, len(w.letters)) for w in words]
 
-    def report_cell(_):
-        report = validate_assignment(fixture)
-        return VerificationCell(
-            "tensor-oracle",
-            {"check": "fixture-validation"},
-            "; ".join(c.name for c in report.failures()) or "all checks pass",
-            "all checks pass",
-            report.ok,
-        )
-
-    def braid_cell(word):
+    report = validate_assignment(fixture)
+    yield VerificationCell(
+        "tensor-oracle",
+        {"check": "fixture-validation"},
+        "; ".join(c.name for c in report.failures()) or "all checks pass",
+        "all checks pass",
+        report.ok,
+    )
+    for word in words:
         params = {"braid": word.render() or "(empty)", "strands": word.strands}
         left = scalar_of(braid_bracket(word, fixture))
         right = RationalFn(conway(braid_closure(word)).substitute_power(1))
-        return VerificationCell(
+        yield VerificationCell(
             "tensor-oracle", params, left.render(), right.render(), left == right
         )
-
-    rng_positions = {w: rng.randint(0, len(w.letters)) for w in words}
-
-    def rewrite_cell(word):
-        pos = rng_positions[word]
+    for word, pos in zip(words[:5], positions):
         base = scalar_of(braid_bracket(word, fixture))
         grown = BraidWord(
             word.strands,
@@ -335,14 +289,9 @@ def _suite_tensor_oracle(max_m: int, max_k: int, corrupt: bool):
         )
         after = scalar_of(braid_bracket(grown, fixture))
         params = {"braid": word.render() or "(empty)", "rewrite": "RII-insert"}
-        return VerificationCell(
+        yield VerificationCell(
             "tensor-oracle", params, after.render(), base.render(), after == base
         )
-
-    cells = [(report_cell, None)]
-    cells += [(braid_cell, w) for w in words]
-    cells += [(rewrite_cell, w) for w in words[:5]]
-    return cells
 
 
 SUITES = {
@@ -374,14 +323,12 @@ def run_suite(
     mm = defaults["max_m"] if max_m is None else max_m
     mk = defaults["max_k"] if max_k is None else max_k
     started = time.perf_counter()
-    pairs = build(mm, mk, corrupt_eigenvalues)
-    if not pairs:
+    cells = tuple(build(mm, mk, corrupt_eigenvalues))
+    if not cells:
         raise ValueError(f"suite {name!r} has no cells for max_m={mm}, max_k={mk}")
-    cells = [fn(arg) for fn, arg in pairs]
-    elapsed = time.perf_counter() - started
     return ReportDocument(
         version=__version__,
         suite=name,
-        cells=tuple(cells),
-        elapsed_seconds=elapsed,
+        cells=cells,
+        elapsed_seconds=time.perf_counter() - started,
     )

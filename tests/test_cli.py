@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from linksgould.braid import parse_braid
 from linksgould.cli import (
     MAX_ALEXANDER_STRANDS,
     MAX_LG_M,
@@ -12,7 +13,15 @@ from linksgould.cli import (
     main,
 )
 from linksgould.conway import DEFAULT_CROSSING_BUDGET
-from linksgould.tensor import TensorAssignment, dump_fixture, identity_matrix, lg11_fixture
+from linksgould.tensor import (
+    TensorAssignment,
+    braid_bracket,
+    dump_fixture,
+    identity_matrix,
+    lg11_fixture,
+    load_fixture,
+    scalar_of,
+)
 from linksgould.verify import SUITES
 
 
@@ -178,6 +187,59 @@ def test_fixture_entry_size_bound(capsys, tmp_path, entry):
     assert "above the bound of 200" in err
 
 
+def write_fixture(path, entry):
+    """The LG^(1,1) fixture as JSON, each nonzero entry e of piece p as entry(p, e)."""
+    dump_fixture(lg11_fixture(), path)
+    doc = json.loads(path.read_text())
+    for name, rows in doc.items():
+        if name != "dim":
+            doc[name] = [[x if x == "0" else entry(name, x) for x in row] for row in rows]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_fixture_validation_size_bound(capsys, tmp_path, n):
+    # Each entry is within the expression bound, but validation's products
+    # of entries are not; unbounded, validation ran 6.2 s at n = 4 and 56 s
+    # at n = 6 before failing.
+    path = tmp_path / "scaled.json"
+    write_fixture(path, lambda _, e: f"({e})*(t+q+1)^{n}/(t+2q+3)^{n}")
+    err = run_over_bound(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 1 1")
+    assert "fixture check" in err and "above the bound of 200" in err
+
+
+def test_fixture_polynomial_products_are_not_bounded(capsys, tmp_path):
+    # With no denominator, validation runs no gcd: a Yang-Baxter product
+    # box of 1 147 points is checked in a fraction of a second.  Scaling
+    # every entry breaks the axioms, so the fixture fails validation.
+    path = tmp_path / "scaled.json"
+    write_fixture(path, lambda _, e: f"({e})*(t+q+1)^10")
+    code, _, err = run(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 1 1")
+    assert code == 1
+    assert "fails validation" in err
+
+
+def test_fixture_with_gauged_caps_loads(capsys, tmp_path):
+    # Caps divided by X and cups multiplied by X: every check still holds,
+    # and the products validation forms stay small.
+    def gauged(piece, e):
+        if piece in ("n", "ntilde"):
+            return f"({e})/(t+2q+3)^4"
+        return f"({e})*(t+2q+3)^4" if piece in ("u", "utilde") else e
+
+    path = tmp_path / "gauged.json"
+    write_fixture(path, gauged)
+    fixture = load_fixture(path)
+    for braid in ("1 1 1", "1 -2 1 -2", "1 2 -1 2", "-1 -1", ""):
+        word = parse_braid(braid, 3)
+        assert scalar_of(braid_bracket(word, fixture)) == scalar_of(
+            braid_bracket(word, lg11_fixture())
+        )
+    code, out, _ = run(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 1 1")
+    assert code == 0
+    assert out.strip() == "t^2 - 1 + t^-2"
+
+
 def test_lg2braid_generic(capsys):
     code, out, _ = run(capsys, "lg2braid", "--m", "1", "--k", "2")
     assert code == 0
@@ -236,8 +298,16 @@ def test_verify_xi_endpoints(capsys):
 
 
 def test_verify_empty_grid_is_usage_error(capsys):
-    for argv in (("theorem1", "--max-m", "0"), ("lg21-qminus1", "--max-k", "-1")):
+    # An empty grid is refused before any value is computed: the skein
+    # values of sigma^k up to |k| = 24 alone take over a second.
+    for argv in (
+        ("theorem1", "--max-m", "0"),
+        ("lg21-qminus1", "--max-k", "-1"),
+        ("theorem2", "--max-m", "0", "--max-k", "24"),
+    ):
+        started = time.perf_counter()
         code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - started < 0.5
         assert code == 2
         assert out == ""
         assert "no cells" in err

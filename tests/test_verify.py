@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import linksgould.verify
 from linksgould.cli import main
 from linksgould.verify import run_suite
 
@@ -27,6 +28,18 @@ PINNED_REPORTS = {
     "tensor-oracle": (
         ["tensor-oracle"],
         "4526b3748a679c602871dd0cd3f8108e3502961ef1c031f8aeb3004b7fcb3ab9",
+    ),
+    "theorem1": (
+        ["theorem1"],
+        "2b784994ddeac064c66a6a4984724431d7cabffeeabdeb9ba34aba0b184cd041",
+    ),
+    "xi-endpoints": (
+        ["xi-endpoints"],
+        "1de660ffeb2142fa824243b95438e08316aa8b59edb8691eb8c4e5d8f036461b",
+    ),
+    "skein-coefficients": (
+        ["skein-coefficients"],
+        "1e9395814670ea83a56aba7321ca7966426cd9848accf0cf8cb2ab98b84fbe20",
     ),
 }
 
@@ -77,18 +90,46 @@ def test_corrupted_theorem2_fails_the_same_cells():
     assert report.counts == {"total": 84, "failed": 12}
 
 
-def test_corrupted_theorem2_report_bytes_pinned(capsys):
+@pytest.mark.parametrize(
+    "suite, max_m, max_k, digest",
+    [
+        ("theorem2", 4, 3, "0cadd7f4aa50370249b5067609cf6958fda3f5acd6b358568906b4521e13c25c"),
+        ("theorem1", 2, 3, "6520909a75910b245c11f266885e88e95cbabc0bcd9c2892051844d3fd3f0883"),
+    ],
+    ids=["theorem2", "theorem1"],
+)
+def test_corrupted_theorem2_report_bytes_pinned(capsys, suite, max_m, max_k, digest):
     # The corrupted spectral value goes through the same quantum trace as
     # the true one; its failing report is pinned byte for byte.
     code = main(
-        ["verify", "theorem2", "--max-m", "4", "--max-k", "3",
+        ["verify", suite, "--max-m", str(max_m), "--max-k", str(max_k),
          "--inject-xi-error", "--format", "json"]
     )
     out = capsys.readouterr().out
     assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "0cadd7f4aa50370249b5067609cf6958fda3f5acd6b358568906b4521e13c25c"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "suite, calls",
+    [("theorem2", (5, 15, 25)), ("theorem1", (5, 15, 15))],
+    ids=["theorem2", "theorem1"],
+)
+def test_theorem_suites_share_work(monkeypatch, suite, calls):
+    # One skein value per k, one LG value per (m, k), and one reduction per
+    # LG value and root order: m = 1 and m = 3 have two orders (d = 2m and
+    # d = m), m = 2 has one, and theorem1 uses only d = 2m.
+    counts = {}
+    for name in ("conway", "lg_closed_2braid", "reduce_at_root"):
+        counts[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(linksgould.verify, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(linksgould.verify, name, counted)
+    assert run_suite(suite, max_m=3, max_k=2).passed
+    assert (counts["conway"], counts["lg_closed_2braid"], counts["reduce_at_root"]) == calls
 
 
 def test_remaining_suites_pass_smallish():
