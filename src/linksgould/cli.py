@@ -47,15 +47,18 @@ __all__ = ["main"]
 # +4 in m (m = 16: 0.6 s, m = 20: 2.6 s).  The tensor engine's bounds,
 # MAX_TENSOR_STRANDS and MAX_TENSOR_DIM, are defined in tensor.py, where
 # load_fixture refuses a fixture too wide to validate before any check
-# runs; tensor eval then bounds the braid's width D^(2n-1) below.
+# runs; tensor eval then bounds the braid's width D^(2n-1) below.  On
+# LG^(1,1) an 8-letter braid takes 0.08 s at that bound of 6 strands and
+# 0.35 s on 7; the bound stays until a wider fixture sets it.
 MAX_ALEXANDER_STRANDS = 1000
 MAX_LG_M = 16
 # verify takes --max-m up to MAX_LG_M, as lg2braid does, and --max-k up to
 # MAX_VERIFY_K.  The skein side of a theorem cell, the closed 2-braid
 # sigma^k, grows about twelvefold in time per +8 in |k| (|k| = 24: 0.2 s,
-# 32: 3 s, 40: 41 s and 660 MB), so the crossing budget alone does not
-# bound it.  The worst case at these bounds, verify theorem2 --max-m 16
-# --max-k 24, takes 90 s and 99 MB.
+# 32: 3 s), so the crossing budget alone does not bound it; from |k| = 36
+# conway stops at its MAX_KEYED_DIAGRAMS after about 10 s.  The worst case
+# at these bounds, verify theorem2 --max-m 16 --max-k 24, takes 90 s and
+# 99 MB.
 MAX_VERIFY_K = 24
 
 

@@ -28,12 +28,20 @@ from .diagram import (
     smooth_crossing,
     switch_crossing,
 )
-from .errors import CrossingBudgetError
+from .errors import BudgetError, CrossingBudgetError
 from .laurent import HalfLaurent
 
 __all__ = ["conway", "first_violation"]
 
 DEFAULT_CROSSING_BUDGET = 64
+
+# The crossing budget does not bound the engine's cost, which grows with
+# the number of diagrams the resolution keys, so one conway call keys at
+# most this many.  The closed 2-braid sigma^24 keys 15 333 diagrams
+# (0.2 s) and sigma^32 176 065 (3.3 s, 73 MB); sigma^36 and longer reach
+# the bound after about 10 s at a 178 MB peak, where sigma^40 ran 41 s and
+# 657 MB without it (2-core x86, Python 3.11.7).
+MAX_KEYED_DIAGRAMS = 2**19
 
 _SKEIN = HalfLaurent.s() - HalfLaurent.s(-1)
 
@@ -59,7 +67,8 @@ def conway(
 
     ``budget`` caps the crossing count of any diagram entering the
     resolution (surgery never increases it); exceeding the cap raises
-    CrossingBudgetError rather than silently truncating.
+    CrossingBudgetError rather than silently truncating.  Keying more
+    than ``MAX_KEYED_DIAGRAMS`` diagrams raises BudgetError.
 
     The memo table is local to one call.
     """
@@ -69,6 +78,7 @@ def conway(
         )
     memo: dict[str, HalfLaurent] = {}
     root = canonical_key(d)
+    keyed = 1
     # Each diagram is keyed once, where it is made, and carries its key on
     # the stack.  An entry with ``prepared`` set is popped after both of its
     # children and combines their values: (switched key, smoothed key,
@@ -95,6 +105,11 @@ def conway(
                 else HalfLaurent.zero()
             )
             continue
+        keyed += 2
+        if keyed > MAX_KEYED_DIAGRAMS:
+            raise BudgetError(
+                f"the skein resolution keys more than {MAX_KEYED_DIAGRAMS} diagrams"
+            )
         switched = switch_crossing(diagram, cid)
         smoothed = smooth_crossing(diagram, cid)
         skey = canonical_key(switched)

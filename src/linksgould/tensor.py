@@ -15,16 +15,21 @@ strand (first move), and the four zigzags straighten (planar isotopy):
 Evaluating a braid closure sliced as a (1,1)-tangle and extracting the
 scalar yields the link invariant of the closure.
 
-Everything is dense and exact; shipped fixtures have D = 2, where dense
-is plainly right.  Validation spans D^3 dimensions and costs about D^6,
-so ``load_fixture`` refuses a fixture with D^3 > ``MAX_TENSOR_DIM``
-before any check runs, and likewise one whose entries' products, as
-validation forms them, could outgrow the text grammar's expression bound.
+Everything is exact.  Matrices are dense at the edges: fixture fields
+and the result of ``bracket`` are full tuples of ``RationalFn`` rows.
+Inside ``bracket`` each slice's matrix is sparse, its rows holding only
+their nonzero entries, so a slice costs its nonzero entries rather than
+the square of its width D^(2n-1).  Validation spans D^3 dimensions and
+costs about D^6, so ``load_fixture`` refuses a fixture with
+D^3 > ``MAX_TENSOR_DIM`` before any check runs, and likewise one whose
+entries' products, as validation forms them, could outgrow the text
+grammar's expression bound.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .braid import BraidWord
@@ -52,8 +57,6 @@ __all__ = [
     "load_fixture",
     "dump_fixture",
     "identity_matrix",
-    "mat_mul",
-    "kron",
 ]
 
 Matrix = tuple[tuple[RationalFn, ...], ...]
@@ -62,12 +65,14 @@ _ZERO = RationalFn.zero()
 _ONE = RationalFn.one()
 
 # Input bounds; the CLI exits 3 on going over one.  With D basis states per
-# strand, an n-strand braid spans D^(2n-1) dimensions, and the dense engine
-# holds matrices of that size squared: an 8-letter braid takes 0.08 s on
-# 5 strands, 1.2 s on 6 and 20 s with a 660 MB peak on 7 (LG^(1,1), 2-core
-# x86 machine, Python 3.11).  Validating a fixture spans D^3 dimensions at
-# a cost of about D^6 (D = 10: 0.6 s).  Both widths are bounded by that of
-# LG^(1,1) (D = 2) at MAX_TENSOR_STRANDS.
+# strand, an n-strand braid spans D^(2n-1) dimensions, and each slice's
+# sparse matrix holds about that many nonzero entries for LG^(1,1): an
+# 8-letter braid takes 0.02 s on 5 strands, 0.08 s on 6, 0.35 s with a
+# 25 MB peak on 7 and 1.9 s with 49 MB on 8 (2-core x86 machine, Python
+# 3.11.7).  Validating a fixture spans D^3 dimensions at a cost of about
+# D^6 (D = 10: 0.6 s).  Both widths are bounded by that of LG^(1,1)
+# (D = 2) at MAX_TENSOR_STRANDS; a wider fixture, such as LG^(2,1)'s
+# D = 4, will set them.
 MAX_TENSOR_STRANDS = 6
 MAX_TENSOR_DIM = 2 ** (2 * MAX_TENSOR_STRANDS - 1)
 
@@ -90,44 +95,57 @@ def identity_matrix(n: int) -> Matrix:
     )
 
 
-def _nonzero(entries) -> list[tuple[int, RationalFn]]:
-    """The (index, entry) pairs of the nonzero entries, in order."""
-    # The numerator's term map is tested directly: this scan runs once per
-    # entry of every operand, where a method call per entry would dominate.
-    return [(k, x) for k, x in enumerate(entries) if x.num._terms]
+# Inside ``bracket`` a matrix is sparse: a tuple of rows, each the
+# (column, entry) pairs of its nonzero entries in increasing column, and
+# the column count.
+SparseMatrix = tuple[tuple[tuple[tuple[int, RationalFn], ...], ...], int]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    width = len(b[0])
-    b_rows = [_nonzero(row) for row in b]
+def _sparse(m: Matrix) -> SparseMatrix:
+    rows = tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero()) for row in m)
+    return rows, len(m[0])
+
+
+def _dense(m: SparseMatrix) -> Matrix:
+    rows, cols = m
     out = []
-    for row in a:
-        # Each entry sums its products in increasing k, as a dot product would.
-        acc: list[RationalFn | None] = [None] * width
-        for k, x in _nonzero(row):
+    for row in rows:
+        dense = [_ZERO] * cols
+        for j, x in row:
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+# kron and mat_mul keep plain names: the benchmark's tracer wraps them by name.
+def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    a_rows, a_cols = a
+    b_rows, b_cols = b
+    if a_cols != len(b_rows):
+        raise ValueError(
+            f"shape mismatch: {len(a_rows)}x{a_cols} times {len(b_rows)}x{b_cols}"
+        )
+    out = []
+    for row in a_rows:
+        # Each entry sums its products in increasing k, as a dot product
+        # would; an entry whose sum cancels is dropped.
+        acc: dict[int, RationalFn] = {}
+        for k, x in row:
             for j, y in b_rows[k]:
-                s = acc[j]
+                s = acc.get(j)
                 acc[j] = x * y if s is None else s + x * y
-        out.append(tuple(_ZERO if s is None else s for s in acc))
-    return tuple(out)
+        out.append(tuple(sorted((j, s) for j, s in acc.items() if not s.is_zero())))
+    return tuple(out), b_cols
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    cb = len(b[0])
-    width = len(a[0]) * cb
-    b_rows = [_nonzero(row) for row in b]
-    out = []
-    for ra_row in a:
-        a_hot = [(i * cb, x) for i, x in _nonzero(ra_row)]
-        for b_hot in b_rows:
-            row = [_ZERO] * width
-            for base, x in a_hot:
-                for j, y in b_hot:
-                    row[base + j] = x * y
-            out.append(tuple(row))
-    return tuple(out)
+def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    a_rows, a_cols = a
+    b_rows, b_cols = b
+    return tuple(
+        tuple((i * b_cols + j, x * y) for i, x in ra for j, y in rb)
+        for ra in a_rows
+        for rb in b_rows
+    ), a_cols * b_cols
 
 
 def _first_mismatch(a: Matrix, b: Matrix) -> tuple[int, int] | None:
@@ -169,17 +187,21 @@ class TensorAssignment:
                     f"{name} must be {rows}x{cols} for dim {d}"
                 )
 
-    def piece_matrix(self, piece: Piece) -> Matrix:
-        if piece.is_identity:
-            return identity_matrix(self.dim)
-        return {
+    def piece_matrix(self, piece: Piece) -> SparseMatrix:
+        return self._pieces[piece]
+
+    @cached_property
+    def _pieces(self) -> dict[Piece, SparseMatrix]:
+        identity = _sparse(identity_matrix(self.dim))
+        fields = {
             Piece.CROSS_POS: self.R,
             Piece.CROSS_NEG: self.Rinv,
             Piece.CAP_N: self.n,
             Piece.CAP_NT: self.ntilde,
             Piece.CUP_U: self.u,
             Piece.CUP_UT: self.utilde,
-        }[piece]
+        }
+        return {p: identity if p.is_identity else _sparse(fields[p]) for p in Piece}
 
 
 @dataclass(frozen=True)
@@ -217,13 +239,13 @@ def bracket(d: SlicedDiagram, a: TensorAssignment) -> Matrix:
     d.validate()
     if not d.rows:
         return _mat([[1]])
-    total: Matrix | None = None
+    total: SparseMatrix | None = None
     for row in d.rows:
         m = a.piece_matrix(row[0])
         for piece in row[1:]:
             m = kron(m, a.piece_matrix(piece))
         total = m if total is None else mat_mul(m, total)
-    return total
+    return _dense(total)
 
 
 def braid_bracket(word: BraidWord, a: TensorAssignment) -> Matrix:
@@ -309,11 +331,10 @@ def _check_validation_size(a: TensorAssignment) -> None:
         for piece in (p for row in lhs.rows for p in row if not p.is_identity):
             # Any entry of the piece may be the factor: take the boxes' hull.
             hull_n = hull_d = None
-            for row in a.piece_matrix(piece):
-                for x in row:
-                    if not x.is_zero():
-                        n, d = _fraction_boxes(x)
-                        hull_n, hull_d = _sum_box(hull_n, n), _sum_box(hull_d, d)
+            for row in a.piece_matrix(piece)[0]:
+                for _, x in row:
+                    n, d = _fraction_boxes(x)
+                    hull_n, hull_d = _sum_box(hull_n, n), _sum_box(hull_d, d)
             num, den = _product_box(num, hull_n), _product_box(den, hull_d)
         if den != unit:
             try:

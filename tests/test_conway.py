@@ -4,9 +4,10 @@ import sys
 import pytest
 
 from linksgould.braid import BraidWord, parse_braid
+from linksgould.cli import main
 from linksgould.conway import conway, first_violation
 from linksgould.diagram import braid_closure, canonical_key, component_count
-from linksgould.errors import CrossingBudgetError
+from linksgould.errors import BudgetError, CrossingBudgetError
 from linksgould.laurent import HalfLaurent, Laurent2
 from linksgould.rational import RationalFn
 
@@ -76,6 +77,21 @@ def test_budget_enforced():
     with pytest.raises(CrossingBudgetError):
         conway(closure("1 1 1"), budget=2)
     assert conway(closure("1 1 1"), budget=3) == s(2) - 1 + s(-2)
+
+
+def test_keyed_diagram_bound(monkeypatch, capsys):
+    # sigma^24 keys 15 333 diagrams, far below the fixed bound; lowered,
+    # the bound stops the resolution with BudgetError, which exits 3.
+    engine = sys.modules["linksgould.conway"]
+    word = " ".join(["1"] * 24)
+    monkeypatch.setattr(engine, "MAX_KEYED_DIAGRAMS", 15333)
+    assert conway(closure(word)).evaluate_at_one() == 0
+    monkeypatch.setattr(engine, "MAX_KEYED_DIAGRAMS", 15332)
+    with pytest.raises(BudgetError, match="keys more than 15332 diagrams"):
+        conway(closure(word))
+    monkeypatch.setattr(engine, "MAX_KEYED_DIAGRAMS", 1000)
+    assert main(["alexander", word]) == 3
+    assert "keys more than 1000 diagrams" in capsys.readouterr().err
 
 
 def random_word(rng, max_strands=4, max_letters=10):

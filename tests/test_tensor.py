@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linksgould
 from linksgould.braid import BraidWord, parse_braid
 from linksgould.conway import conway
 from linksgould.diagram import braid_closure
@@ -21,6 +26,7 @@ from linksgould.tensor import (
     scalar_of,
     validate_assignment,
 )
+from linksgould.textform import parse_rational
 
 t = Laurent2.t
 ONE = RationalFn.one()
@@ -156,6 +162,35 @@ def test_conway_oracle_on_random_braids():
         lhs = scalar_of(braid_bracket(w, fx))
         rhs = RationalFn(conway(braid_closure(w)).substitute_power(1))
         assert lhs == rhs, w.render()
+
+
+_SEVEN_STRANDS = "1 -2 3 -4 5 -6 1 -2"
+_AS_LIMIT = 128 * 2**20
+_BOUNDED_BRACKET = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({_AS_LIMIT}, {_AS_LIMIT}))
+from linksgould.braid import parse_braid
+from linksgould.tensor import braid_bracket, lg11_fixture, scalar_of
+word = parse_braid({_SEVEN_STRANDS!r}, 7)
+print(scalar_of(braid_bracket(word, lg11_fixture())).render())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_seven_strand_bracket_within_128_mib():
+    # The dense kernel held each slice as a D^13-square matrix and ran out
+    # of memory here even at 256 MiB; with sparse rows the process peaks
+    # near 30 MB of address space.
+    src = str(Path(linksgould.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_BRACKET],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "-t^2 + 3 - t^-2\n"
+    skein = conway(braid_closure(parse_braid(_SEVEN_STRANDS, 7)))
+    assert parse_rational(done.stdout.strip()) == RationalFn(skein.substitute_power(1))
 
 
 def test_reidemeister_rewrite_invariance():

@@ -1,21 +1,39 @@
 """
 The tensor kernel against its plain definitions, checked by hypothesis.
 
-``kron`` and ``mat_mul`` multiply only nonzero entries, and ``RationalFn``
-builds sums and products of Laurent polynomials without its constructor.
-The oracles below are the straightforward versions: every pair of entries
-tested for zero, and every result built through ``RationalFn.__init__``.
-Results must agree field for field (``num`` and ``den``), not merely in
-value.
+``kron`` and ``mat_mul`` work on sparse rows, holding only nonzero
+entries, and ``RationalFn`` builds sums and products of Laurent
+polynomials without its constructor.  The oracles below are the
+straightforward dense versions: every pair of entries tested for zero,
+and every result built through ``RationalFn.__init__``.  The kernel's
+operands are made sparse from the dense matrices and its results dense
+again; they must agree field for field (``num`` and ``den``), not merely
+in value.  ``bracket`` must likewise equal the dense composition of
+``dense_kernel`` on braid closures and on the validator's isotopies.
 """
+from dataclasses import replace
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+import dense_kernel  # noqa: E402
+from test_cli import flip_fixture  # noqa: E402
+
+from linksgould.braid import BraidWord  # noqa: E402
 from linksgould.laurent import Laurent2  # noqa: E402
 from linksgould.rational import RationalFn  # noqa: E402
-from linksgould.tensor import kron, mat_mul  # noqa: E402
+from linksgould.sliced import to_sliced  # noqa: E402
+from linksgould.tensor import (  # noqa: E402
+    _ISOTOPIES,
+    _dense,
+    _sparse,
+    bracket,
+    kron,
+    lg11_fixture,
+    mat_mul,
+)
 
 given = hypothesis.given
 # Deterministic and without an example database, so the suite is
@@ -99,17 +117,35 @@ def fields(m):
     return [[(x.num, x.den) for x in row] for row in m]
 
 
+def dense(m):
+    """The dense form of a sparse result, which must hold nonzero entries in increasing column."""
+    rows, cols = m
+    for row in rows:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns)) and all(0 <= j < cols for j in columns)
+        assert not any(x.is_zero() for _, x in row)
+    return _dense(m)
+
+
 @laws
 @given(product_pair())
 def test_mat_mul_matches_oracle(pair):
     a, b = pair
-    assert fields(mat_mul(a, b)) == fields(oracle_mat_mul(a, b))
+    assert fields(dense(mat_mul(_sparse(a), _sparse(b)))) == fields(oracle_mat_mul(a, b))
+
+
+def test_mat_mul_drops_cancelled_entries_and_checks_shapes():
+    one = RationalFn.one()
+    row, col = _sparse(((one, one),)), _sparse(((one,), (-one,)))
+    assert mat_mul(row, col) == (((),), 1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul(row, row)
 
 
 @laws
 @given(any_matrix(), any_matrix())
 def test_kron_matches_oracle(a, b):
-    assert fields(kron(a, b)) == fields(oracle_kron(a, b))
+    assert fields(dense(kron(_sparse(a), _sparse(b)))) == fields(oracle_kron(a, b))
 
 
 @laws
@@ -118,3 +154,46 @@ def test_sum_and_product_match_constructor(a, b):
     for got, want in ((a * b, oracle_mul(a, b)), (a + b, oracle_add(a, b))):
         assert (got.num, got.den) == (want.num, want.den)
         assert got.is_zero() == want.num.is_zero()
+
+
+LG11 = lg11_fixture()
+FIELDS = ("R", "Rinv", "n", "ntilde", "u", "utilde")
+
+
+@st.composite
+def perturbed_lg11(draw):
+    """LG^(1,1) with one entry moved by a monomial over a non-monomial denominator."""
+    name = draw(st.sampled_from(FIELDS))
+    rows = [list(row) for row in getattr(LG11, name)]
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    den = draw(st.sampled_from([t() + 1, q() - 1, t() - q(), t() * q() + 3]))
+    rows[i][j] = rows[i][j] + RationalFn(t(draw(st.integers(-2, 2))), den)
+    return replace(LG11, **{name: tuple(map(tuple, rows))})
+
+
+two_state = st.one_of(st.just(LG11), perturbed_lg11())
+
+
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(1, 5))
+    if n == 1:
+        return BraidWord(1, ())
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=8))))
+
+
+@laws
+@given(braid_words(), two_state)
+def test_bracket_matches_dense_on_braids(word, fixture):
+    d = to_sliced(word, keep_open=True)
+    assert fields(bracket(d, fixture)) == fields(dense_kernel.bracket(d, fixture))
+
+
+@laws
+@given(st.one_of(two_state, st.just(flip_fixture(3))))
+def test_bracket_matches_dense_on_isotopies(fixture):
+    for _, lhs, rhs in _ISOTOPIES:
+        for d in (lhs, rhs):
+            assert fields(bracket(d, fixture)) == fields(dense_kernel.bracket(d, fixture))

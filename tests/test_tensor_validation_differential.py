@@ -1,13 +1,15 @@
 """
 ``validate_assignment`` checks each axiom as the bracket of two sliced
-diagrams.  The oracle here is the matrix route it replaced: R times Rinv,
-the Yang-Baxter operators built with ``kron``, the quantum trace
-(id (x) n) . (X (x) id) . (id (x) u) and the zigzags as cap/cup products.
+diagrams.  The oracle here is the matrix route it replaced, on the dense
+kernel of ``dense_kernel``: R times Rinv, the Yang-Baxter operators built
+with ``kron``, the quantum trace (id (x) n) . (X (x) id) . (id (x) u) and
+the zigzags as cap/cup products.
 Both must report the same (name, passed, witness) triples.
 """
 from dataclasses import replace
 
 import pytest
+from dense_kernel import kron, mat_mul
 from test_cli import flip_fixture
 
 from linksgould.laurent import Laurent2
@@ -15,9 +17,7 @@ from linksgould.rational import RationalFn
 from linksgould.tensor import (
     TensorAssignment,
     identity_matrix,
-    kron,
     lg11_fixture,
-    mat_mul,
     validate_assignment,
 )
 
