@@ -42,16 +42,24 @@ __all__ = ["main"]
 
 # Fixed input bounds; going over one exits 3 before any work is done.
 # Each engine's cost grows without limit in its bounded input (times on a
-# 2-core x86 machine, Python 3.11): braid_closure allocates per strand
-# (10^6 strands: 0.7 s and 190 MB) and lg2braid grows about fivefold per
-# +4 in m (m = 16: 0.6 s, m = 20: 2.6 s).  The tensor engine's bounds,
-# MAX_TENSOR_STRANDS and MAX_TENSOR_DIM, are defined in tensor.py, where
-# load_fixture refuses a fixture too wide to validate before any check
-# runs; tensor eval then bounds the braid's width D^(2n-1) below.  On
-# LG^(1,1) an 8-letter braid takes 0.08 s at that bound of 6 strands and
-# 0.35 s on 7; the bound stays until a wider fixture sets it.
+# shared 2-core x86 machine, Python 3.11): braid_closure allocates per
+# strand (10^6 strands: 0.7 s and 190 MB) and lg2braid grows about
+# fourfold per +4 in m (k = 24: 0.6 s at m = 12, 2.4 s and 78 MB at
+# m = 16).  The tensor engine's bounds, MAX_TENSOR_STRANDS and
+# MAX_TENSOR_DIM, are defined in tensor.py, where load_fixture refuses a
+# fixture too wide to validate before any check runs; tensor eval then
+# bounds the braid's width D^(2n-1) below.  On LG^(1,1) an 8-letter braid
+# takes 0.2 s at that bound of 6 strands and 0.9 s on 7; the bound stays
+# until a wider fixture sets it.
 MAX_ALEXANDER_STRANDS = 1000
 MAX_LG_M = 16
+# lg2braid takes |--k| up to MAX_LG_K.  Its cost in |k| depends on m: at
+# m = 16 it hardly grows (|k| = 300: 2.6 s, 86 MB; 10^6: 2.5 s, 88 MB), at
+# m = 1 it grows linearly (10^6: 15 s, 384 MB, 11 MB printed), and at
+# m = 2, whose value is a polynomial of about k^2 / 2 terms, fastest:
+# |k| = 300 takes 2.4 s and 34 MB, 500 takes 9.8 s and 1000 takes 61 s and
+# 206 MB.  The bound keeps every m within the cost of m = 16.
+MAX_LG_K = 300
 # verify takes --max-m up to MAX_LG_M, as lg2braid does, and --max-k up to
 # MAX_VERIFY_K.  The skein side of a theorem cell, the closed 2-braid
 # sigma^k, grows about twelvefold in time per +8 in |k| (|k| = 24: 0.2 s,
@@ -138,6 +146,7 @@ def _cmd_lg2braid(args) -> int:
         print("error: --m must be a positive integer", file=sys.stderr)
         return 2
     _check_bound("--m", args.m, MAX_LG_M)
+    _check_bound("|--k|", abs(args.k), MAX_LG_K)
     value = lg_closed_2braid(args.m, args.k)
     if args.root is None:
         print(value.render())

@@ -19,7 +19,10 @@ Everything is exact.  Matrices are dense at the edges: fixture fields
 and the result of ``bracket`` are full tuples of ``RationalFn`` rows.
 Inside ``bracket`` each slice's matrix is sparse, its rows holding only
 their nonzero entries, so a slice costs its nonzero entries rather than
-the square of its width D^(2n-1).  Validation spans D^3 dimensions and
+the square of its width D^(2n-1).  When every fixture entry is a Laurent
+polynomial, as for LG^(1,1), those entries are the ``Laurent2``
+numerators, which multiply and add without ``RationalFn``'s wrapper;
+otherwise they are ``RationalFn``.  Validation spans D^3 dimensions and
 costs about D^6, so ``load_fixture`` refuses a fixture with
 D^3 > ``MAX_TENSOR_DIM`` before any check runs, and likewise one whose
 entries' products, as validation forms them, could outgrow the text
@@ -35,7 +38,7 @@ from pathlib import Path
 from .braid import BraidWord
 from .errors import BudgetError, FixtureValidationError, NotScalarError
 from .laurent import Laurent2
-from .rational import RationalFn
+from .rational import RationalFn, _polynomial
 from .sliced import Piece, SlicedDiagram, to_sliced
 from .textform import (
     _check_size,
@@ -67,10 +70,10 @@ _ONE = RationalFn.one()
 # Input bounds; the CLI exits 3 on going over one.  With D basis states per
 # strand, an n-strand braid spans D^(2n-1) dimensions, and each slice's
 # sparse matrix holds about that many nonzero entries for LG^(1,1): an
-# 8-letter braid takes 0.02 s on 5 strands, 0.08 s on 6, 0.35 s with a
-# 25 MB peak on 7 and 1.9 s with 49 MB on 8 (2-core x86 machine, Python
-# 3.11.7).  Validating a fixture spans D^3 dimensions at a cost of about
-# D^6 (D = 10: 0.6 s).  Both widths are bounded by that of LG^(1,1)
+# 8-letter braid takes 0.04 s on 5 strands, 0.2 s on 6, 0.9 s with a
+# 24 MB peak on 7 and 4.7 s with 47 MB on 8 (shared 2-core x86 machine,
+# Python 3.11.7).  Validating a fixture spans D^3 dimensions at a cost of
+# about D^6 (D = 10: 1.4 s).  Both widths are bounded by that of LG^(1,1)
 # (D = 2) at MAX_TENSOR_STRANDS; a wider fixture, such as LG^(2,1)'s
 # D = 4, will set them.
 MAX_TENSOR_STRANDS = 6
@@ -97,12 +100,17 @@ def identity_matrix(n: int) -> Matrix:
 
 # Inside ``bracket`` a matrix is sparse: a tuple of rows, each the
 # (column, entry) pairs of its nonzero entries in increasing column, and
-# the column count.
-SparseMatrix = tuple[tuple[tuple[tuple[int, RationalFn], ...], ...], int]
+# the column count.  Its entries are ``Laurent2`` numerators when every
+# entry of the assignment has denominator 1, and ``RationalFn`` otherwise.
+Entry = RationalFn | Laurent2
+SparseMatrix = tuple[tuple[tuple[tuple[int, Entry], ...], ...], int]
 
 
-def _sparse(m: Matrix) -> SparseMatrix:
-    rows = tuple(tuple((j, x) for j, x in enumerate(row) if not x.is_zero()) for row in m)
+def _sparse(m: Matrix, polynomial: bool = False) -> SparseMatrix:
+    rows = tuple(
+        tuple((j, x.num if polynomial else x) for j, x in enumerate(row) if not x.is_zero())
+        for row in m
+    )
     return rows, len(m[0])
 
 
@@ -112,7 +120,7 @@ def _dense(m: SparseMatrix) -> Matrix:
     for row in rows:
         dense = [_ZERO] * cols
         for j, x in row:
-            dense[j] = x
+            dense[j] = x if isinstance(x, RationalFn) else _polynomial(x)
         out.append(tuple(dense))
     return tuple(out)
 
@@ -129,7 +137,7 @@ def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     for row in a_rows:
         # Each entry sums its products in increasing k, as a dot product
         # would; an entry whose sum cancels is dropped.
-        acc: dict[int, RationalFn] = {}
+        acc: dict[int, Entry] = {}
         for k, x in row:
             for j, y in b_rows[k]:
                 s = acc.get(j)
@@ -192,7 +200,6 @@ class TensorAssignment:
 
     @cached_property
     def _pieces(self) -> dict[Piece, SparseMatrix]:
-        identity = _sparse(identity_matrix(self.dim))
         fields = {
             Piece.CROSS_POS: self.R,
             Piece.CROSS_NEG: self.Rinv,
@@ -201,7 +208,12 @@ class TensorAssignment:
             Piece.CUP_U: self.u,
             Piece.CUP_UT: self.utilde,
         }
-        return {p: identity if p.is_identity else _sparse(fields[p]) for p in Piece}
+        # Laurent polynomials multiply and add without RationalFn's wrapper.
+        polynomial = all(x.den.is_one() for m in fields.values() for row in m for x in row)
+        identity = _sparse(identity_matrix(self.dim), polynomial)
+        return {
+            p: identity if p.is_identity else _sparse(fields[p], polynomial) for p in Piece
+        }
 
 
 @dataclass(frozen=True)

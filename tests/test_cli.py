@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import linksgould
 from linksgould.braid import parse_braid
 from linksgould.cli import (
     MAX_ALEXANDER_STRANDS,
+    MAX_LG_K,
     MAX_LG_M,
     MAX_TENSOR_DIM,
     MAX_TENSOR_STRANDS,
@@ -102,6 +108,14 @@ def test_alexander_strand_bound(capsys):
 def test_lg2braid_m_bound(capsys):
     err = run_over_bound(capsys, "lg2braid", "--m", str(MAX_LG_M + 1), "--k", "1")
     assert f"--m {MAX_LG_M + 1} exceeds the bound of {MAX_LG_M}" in err
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lg2braid_k_bound(capsys, sign):
+    # Unbounded, m = 2 ran 61 s at |k| = 1000 and m = 1 ran 15 s at 10^6.
+    for m, k in ((2, MAX_LG_K + 1), (1, 10**6)):
+        err = run_over_bound(capsys, "lg2braid", "--m", str(m), "--k", str(sign * k))
+        assert f"|--k| {k} exceeds the bound of {MAX_LG_K}" in err
 
 
 def test_tensor_eval_strand_bound(capsys):
@@ -219,14 +233,15 @@ def test_fixture_polynomial_products_are_not_bounded(capsys, tmp_path):
     assert "fails validation" in err
 
 
-def test_fixture_with_gauged_caps_loads(capsys, tmp_path):
-    # Caps divided by X and cups multiplied by X: every check still holds,
-    # and the products validation forms stay small.
-    def gauged(piece, e):
-        if piece in ("n", "ntilde"):
-            return f"({e})/(t+2q+3)^4"
-        return f"({e})*(t+2q+3)^4" if piece in ("u", "utilde") else e
+def gauged(piece, e):
+    """Caps divided by X and cups multiplied by X: every check still holds,
+    and the products validation forms stay small."""
+    if piece in ("n", "ntilde"):
+        return f"({e})/(t+2q+3)^4"
+    return f"({e})*(t+2q+3)^4" if piece in ("u", "utilde") else e
 
+
+def test_fixture_with_gauged_caps_loads(capsys, tmp_path):
     path = tmp_path / "gauged.json"
     write_fixture(path, gauged)
     fixture = load_fixture(path)
@@ -317,6 +332,23 @@ def test_tensor_eval_builtin(capsys):
     code, out, _ = run(capsys, "tensor", "eval", "--braid", "1 1 1")
     assert code == 0
     assert out.strip() == "t^2 - 1 + t^-2"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["--braid", "1 1 1"], 0, "t^2 - 1 + t^-2\n"),
+        (["--braid", "1", "--strands", str(MAX_TENSOR_STRANDS + 1)], 3, ""),
+    ],
+)
+def test_module_entry_point(argv, code, out):
+    # python -m linksgould runs the same main() and passes its exit code on.
+    src = str(Path(linksgould.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "linksgould", "tensor", "eval", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (code, out), done.stderr
 
 
 def test_tensor_eval_fixture_file(capsys, tmp_path):

@@ -16,6 +16,7 @@ from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
 from linksgould.sliced import Piece, SlicedDiagram, to_sliced
 from linksgould.tensor import (
+    _ISOTOPIES,
     TensorAssignment,
     bracket,
     braid_bracket,
@@ -27,6 +28,7 @@ from linksgould.tensor import (
     validate_assignment,
 )
 from linksgould.textform import parse_rational
+from test_cli import gauged, write_fixture
 
 t = Laurent2.t
 ONE = RationalFn.one()
@@ -95,6 +97,30 @@ def test_bracket_of_r_diagram_is_identity():
     fx = lg11_fixture()
     sd = to_sliced(BraidWord(2, ((1, 1),)), keep_open=True)
     assert bracket(sd, fx) == identity_matrix(2)
+
+
+def gauged_fixture(tmp_path):
+    path = tmp_path / "gauged.json"
+    write_fixture(path, gauged)
+    return load_fixture(path)
+
+
+def test_polynomial_fixture_pieces_hold_laurent2(tmp_path):
+    # Every LG^(1,1) entry has denominator 1, so bracket multiplies the
+    # numerators; one entry with a denominator keeps RationalFn throughout.
+    for fx, kind in ((lg11_fixture(), Laurent2), (gauged_fixture(tmp_path), RationalFn)):
+        for piece in Piece:
+            entries = [x for row in fx.piece_matrix(piece)[0] for _, x in row]
+            assert entries and all(type(x) is kind for x in entries), (piece, kind)
+
+
+def test_bracket_returns_rationalfn_entries(tmp_path):
+    diagrams = [SlicedDiagram(()), to_sliced(parse_braid("1 -2 1", 3), keep_open=True)]
+    diagrams += [d for _, lhs, rhs in _ISOTOPIES for d in (lhs, rhs)]
+    for fx in (lg11_fixture(), gauged_fixture(tmp_path)):
+        for d in diagrams:
+            m = bracket(d, fx)
+            assert all(type(x) is RationalFn for row in m for x in row)
 
 
 def closure(*pieces):

@@ -3,7 +3,9 @@ The tensor kernel against its plain definitions, checked by hypothesis.
 
 ``kron`` and ``mat_mul`` work on sparse rows, holding only nonzero
 entries, and ``RationalFn`` builds sums and products of Laurent
-polynomials without its constructor.  The oracles below are the
+polynomials without its constructor.  On a polynomial assignment the
+entries are ``Laurent2`` numerators, which must equal the ``RationalFn``
+route's entry for entry.  The oracles below are the
 straightforward dense versions: every pair of entries tested for zero,
 and every result built through ``RationalFn.__init__``.  The kernel's
 operands are made sparse from the dense matrices and its results dense
@@ -96,8 +98,8 @@ entries = st.one_of(
 sides = st.integers(1, 4)  # 1 x k and k x 1 are the shapes of caps and cups
 
 
-def matrices(rows, cols):
-    row = st.lists(entries, min_size=cols, max_size=cols).map(tuple)
+def matrices(rows, cols, of=entries):
+    row = st.lists(of, min_size=cols, max_size=cols).map(tuple)
     return st.lists(row, min_size=rows, max_size=rows).map(tuple)
 
 
@@ -107,9 +109,9 @@ def any_matrix(draw):
 
 
 @st.composite
-def product_pair(draw):
+def product_pair(draw, of=entries):
     r, k, c = draw(sides), draw(sides), draw(sides)
-    return draw(matrices(r, k)), draw(matrices(k, c))
+    return draw(matrices(r, k, of)), draw(matrices(k, c, of))
 
 
 def fields(m):
@@ -146,6 +148,26 @@ def test_mat_mul_drops_cancelled_entries_and_checks_shapes():
 @given(any_matrix(), any_matrix())
 def test_kron_matches_oracle(a, b):
     assert fields(dense(kron(_sparse(a), _sparse(b)))) == fields(oracle_kron(a, b))
+
+
+def assert_numerators(got, want):
+    """A Laurent2 result equals the RationalFn one entry for entry, with denominator 1."""
+    assert got[1] == want[1] and len(got[0]) == len(want[0])
+    for got_row, want_row in zip(got[0], want[0]):
+        assert [j for j, _ in got_row] == [j for j, _ in want_row]
+        for (_, x), (_, y) in zip(got_row, want_row):
+            assert type(x) is Laurent2 and y.den.is_one() and x == y.num
+
+
+@laws
+@given(product_pair(st.one_of(st.just(_ZERO), laurent2.map(RationalFn))))
+def test_laurent2_kernel_matches_rationalfn(pair):
+    a, b = pair
+    laurent = _sparse(a, polynomial=True), _sparse(b, polynomial=True)
+    rational = _sparse(a), _sparse(b)
+    assert_numerators(kron(*laurent), kron(*rational))
+    assert_numerators(mat_mul(*laurent), mat_mul(*rational))
+    assert fields(_dense(mat_mul(*laurent))) == fields(oracle_mat_mul(a, b))
 
 
 @laws
