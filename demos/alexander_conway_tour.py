@@ -58,6 +58,5 @@ print("  stabilized  ", conway(braid_closure(w.stabilized(-1))).render("s"))
 # The substitution s -> t^m feeds the spectral comparisons: Delta(t^(2m)).
 print("\ntrefoil Delta with s -> t^2:", conway(trefoil).substitute_power(2))
 
-# Large inputs are guarded by an explicit crossing budget.
 big = BraidWord(2, ((1, 1),) * 12)
-print("12-crossing torus link:", conway(braid_closure(big), budget=16).render("s"))
+print("12-crossing torus link:", conway(braid_closure(big)).render("s"))

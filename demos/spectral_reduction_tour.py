@@ -23,7 +23,6 @@ from linksgould import (
     projector_trace,
     reduce_at_root,
     skein_coefficient_report,
-    weight_decompositions,
 )
 
 m = 2
@@ -64,9 +63,3 @@ for row in skein_coefficient_report(m, 1):
     raw = "0" if row.raw.is_zero() else str(row.raw)
     prod = "0" if row.product.is_zero() else str(row.product)
     print(f"  i={row.i}: raw = {raw:>12}   raw * trace = {prod}")
-
-# Bookkeeping behind the projector count: the tensor square splits into
-# m+1 labelled summands.
-labels, kac = weight_decompositions(m)
-print("\ntensor-square weight labels:", ", ".join(str(w) for w in labels))
-print("even-subalgebra content of summand 1:", ", ".join(str(w) for w in kac[1]))

@@ -27,11 +27,9 @@ from .diagram import (
     is_split,
     smooth_crossing,
     switch_crossing,
-    writhe,
 )
 from .errors import (
     BudgetError,
-    CrossingBudgetError,
     FixtureValidationError,
     LinksGouldError,
     NotScalarError,
@@ -42,15 +40,11 @@ from .laurent import HalfLaurent, Laurent2
 from .rational import RationalFn, laurent_gcd
 from .sliced import Piece, SlicedDiagram, to_sliced
 from .spectral import (
-    WeightLabel,
     braiding_eigenvalue,
-    characteristic_identity_holds,
     lg_closed_2braid,
-    module_decomposition,
     projector_trace,
     quantum_trace,
     skein_coefficient_report,
-    weight_decompositions,
 )
 from .tensor import (
     TensorAssignment,
@@ -85,10 +79,6 @@ __all__ = [
     "quantum_trace",
     "lg_closed_2braid",
     "skein_coefficient_report",
-    "characteristic_identity_holds",
-    "WeightLabel",
-    "weight_decompositions",
-    "module_decomposition",
     "BraidWord",
     "parse_braid",
     "OrientedDiagram",
@@ -98,7 +88,6 @@ __all__ = [
     "component_count",
     "is_split",
     "canonical_key",
-    "writhe",
     "conway",
     "Piece",
     "SlicedDiagram",
@@ -119,7 +108,6 @@ __all__ = [
     "ParseError",
     "PoleAtRootError",
     "BudgetError",
-    "CrossingBudgetError",
     "NotScalarError",
     "FixtureValidationError",
 ]

@@ -2,7 +2,7 @@
 Command-line front end.
 
 Commands:
-  alexander <braid> [--strands N] [--var auto|s|t] [--budget B]
+  alexander <braid> [--strands N] [--var auto|s|t]
   lg2braid --m M --k K [--root R]
   verify <suite> [--max-m M] [--max-k K] [--format text|json]
   tensor eval --braid WORD [--fixture FILE] [--strands N]
@@ -17,7 +17,7 @@ import sys
 from math import gcd
 
 from .braid import parse_braid
-from .conway import DEFAULT_CROSSING_BUDGET, conway
+from .conway import conway
 from .cyclotomic import reduce_at_root
 from .diagram import braid_closure
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     PoleAtRootError,
 )
-from .spectral import lg_closed_2braid
+from .spectral import MAX_LG_M, lg_closed_2braid
 from .tensor import (
     MAX_TENSOR_DIM,
     MAX_TENSOR_STRANDS,
@@ -43,16 +43,15 @@ __all__ = ["main"]
 # Fixed input bounds; going over one exits 3 before any work is done.
 # Each engine's cost grows without limit in its bounded input (times on a
 # shared 2-core x86 machine, Python 3.11): braid_closure allocates per
-# strand (10^6 strands: 0.7 s and 190 MB) and lg2braid grows about
-# fourfold per +4 in m (k = 24: 0.6 s at m = 12, 2.4 s and 78 MB at
-# m = 16).  The tensor engine's bounds, MAX_TENSOR_STRANDS and
-# MAX_TENSOR_DIM, are defined in tensor.py, where load_fixture refuses a
-# fixture too wide to validate before any check runs; tensor eval then
-# bounds the braid's width D^(2n-1) below.  On LG^(1,1) an 8-letter braid
-# takes 0.2 s at that bound of 6 strands and 0.9 s on 7; the bound stays
-# until a wider fixture sets it.
+# strand (10^6 strands: 0.7 s and 190 MB).  The bound on m, MAX_LG_M, is
+# defined in spectral.py, whose caches it sizes.  The tensor engine's
+# bounds, MAX_TENSOR_STRANDS and MAX_TENSOR_DIM, are defined in tensor.py,
+# where load_fixture refuses a fixture too wide to validate before any
+# check runs; tensor eval then bounds the braid's width D^(2n-1) below.  On
+# LG^(1,1) an 8-letter braid takes 0.2 s at that bound of 6 strands and
+# 0.9 s on 7; the bound stays until a wider fixture sets it.  The skein
+# engine's crossing bound, MAX_SKEIN_CROSSINGS, is defined in conway.py.
 MAX_ALEXANDER_STRANDS = 1000
-MAX_LG_M = 16
 # lg2braid takes |--k| up to MAX_LG_K.  Its cost in |k| depends on m: at
 # m = 16 it hardly grows (|k| = 300: 2.6 s, 86 MB; 10^6: 2.5 s, 88 MB), at
 # m = 1 it grows linearly (10^6: 15 s, 384 MB, 11 MB printed), and at
@@ -63,7 +62,7 @@ MAX_LG_K = 300
 # verify takes --max-m up to MAX_LG_M, as lg2braid does, and --max-k up to
 # MAX_VERIFY_K.  The skein side of a theorem cell, the closed 2-braid
 # sigma^k, grows about twelvefold in time per +8 in |k| (|k| = 24: 0.2 s,
-# 32: 3 s), so the crossing budget alone does not bound it; from |k| = 36
+# 32: 3 s), so the crossing bound alone does not limit it; from |k| = 36
 # conway stops at its MAX_KEYED_DIAGRAMS after about 10 s.  The worst case
 # at these bounds, verify theorem2 --max-m 16 --max-k 24, takes 90 s and
 # 99 MB.
@@ -92,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="output variable; auto prints t when possible, s otherwise",
     )
-    p.add_argument("--budget", type=int, default=DEFAULT_CROSSING_BUDGET)
 
     p = sub.add_parser("lg2braid", help="LG^(m,1) of a closed 2-braid")
     p.add_argument("--m", type=int, required=True)
@@ -127,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_alexander(args) -> int:
     word = parse_braid(args.braid, args.strands)
     _check_bound("strand count", word.strands, MAX_ALEXANDER_STRANDS)
-    value = conway(braid_closure(word), budget=args.budget)
+    value = conway(braid_closure(word))
     if args.var == "t" and not value.all_even_powers():
         print(
             "error: value has odd powers of s = t^(1/2); use --var s",

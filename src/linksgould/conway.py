@@ -28,14 +28,16 @@ from .diagram import (
     smooth_crossing,
     switch_crossing,
 )
-from .errors import BudgetError, CrossingBudgetError
+from .errors import BudgetError
 from .laurent import HalfLaurent
 
 __all__ = ["conway", "first_violation"]
 
-DEFAULT_CROSSING_BUDGET = 64
+# conway refuses a diagram of more crossings than this; surgery never
+# increases the count, so no diagram in the resolution has more.
+MAX_SKEIN_CROSSINGS = 64
 
-# The crossing budget does not bound the engine's cost, which grows with
+# The crossing bound does not limit the engine's cost, which grows with
 # the number of diagrams the resolution keys, so one conway call keys at
 # most this many.  The closed 2-braid sigma^24 keys 15 333 diagrams
 # (0.2 s) and sigma^32 176 065 (3.3 s, 73 MB); sigma^36 and longer reach
@@ -59,23 +61,19 @@ def first_violation(d: OrientedDiagram) -> int | None:
     return None
 
 
-def conway(
-    d: OrientedDiagram, budget: int = DEFAULT_CROSSING_BUDGET
-) -> HalfLaurent:
+def conway(d: OrientedDiagram) -> HalfLaurent:
     """
     The Alexander-Conway polynomial of a diagram, in s = t^(1/2).
 
-    ``budget`` caps the crossing count of any diagram entering the
-    resolution (surgery never increases it); exceeding the cap raises
-    CrossingBudgetError rather than silently truncating.  Keying more
-    than ``MAX_KEYED_DIAGRAMS`` diagrams raises BudgetError.
+    A diagram of more than ``MAX_SKEIN_CROSSINGS`` crossings, or one whose
+    resolution keys more than ``MAX_KEYED_DIAGRAMS`` diagrams, raises
+    BudgetError rather than silently truncating.
 
     The memo table is local to one call.
     """
-    if len(d.crossings) > budget:
-        raise CrossingBudgetError(
-            f"{len(d.crossings)} crossings exceed the budget of {budget}"
-        )
+    n = len(d.crossings)
+    if n > MAX_SKEIN_CROSSINGS:
+        raise BudgetError(f"{n} crossings exceed the bound of {MAX_SKEIN_CROSSINGS}")
     memo: dict[str, HalfLaurent] = {}
     root = canonical_key(d)
     keyed = 1

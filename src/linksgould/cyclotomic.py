@@ -186,6 +186,9 @@ class CycloFraction:
     def __sub__(self, other) -> CycloFraction:
         return self + (-self._coerce(other))
 
+    def __rsub__(self, other) -> CycloFraction:
+        return self._coerce(other) - self
+
     def __neg__(self) -> CycloFraction:
         out = CycloFraction.__new__(CycloFraction)
         object.__setattr__(out, "d", self.d)

@@ -27,7 +27,6 @@ __all__ = [
     "component_count",
     "is_split",
     "canonical_key",
-    "writhe",
 ]
 
 Passage = tuple[int, bool]  # (crossing id, met on the over strand?)
@@ -117,10 +116,6 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
         components=tuple(comps),
         basepoints=(0,) * len(comps),
     )
-
-
-def writhe(d: OrientedDiagram) -> int:
-    return sum(sign for _, sign in d.crossings)
 
 
 def component_count(d: OrientedDiagram) -> int:

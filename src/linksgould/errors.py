@@ -22,10 +22,6 @@ class BudgetError(LinksGouldError, RuntimeError):
     """An input exceeds a resource bound; the CLI exits with code 3."""
 
 
-class CrossingBudgetError(BudgetError):
-    """A skein resolution would exceed the configured crossing budget."""
-
-
 class NotScalarError(LinksGouldError, ValueError):
     """A bracket expected to be a scalar multiple of the identity is not."""
 

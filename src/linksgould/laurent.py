@@ -329,13 +329,6 @@ class Laurent2(_SparseLaurent):
                     rem.pop(ee, None)
         return self._raw(quo).shifted(smt - omt, smq - omq)
 
-    def divides(self, other: Laurent2) -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ValueError:
-            return False
-
     # -- substitutions -----------------------------------------------------
 
     def invert_q(self) -> Laurent2:

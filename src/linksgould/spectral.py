@@ -31,17 +31,16 @@ __all__ = [
     "lg_closed_2braid",
     "SkeinCoefficient",
     "skein_coefficient_report",
-    "characteristic_identity_holds",
-    "WeightLabel",
-    "weight_decompositions",
-    "module_decomposition",
 ]
 
 
-# The caches below hold every (m, i) with 0 <= i <= m up to m = 16, the
-# CLI's bound on m (cli.MAX_LG_M), and evict beyond that, so a long-lived
-# process keeps them bounded.
-_CACHED_PAIRS = sum(m + 1 for m in range(1, 16 + 1))
+# The CLI takes m up to MAX_LG_M: lg_closed_2braid grows about fourfold per
+# +4 in m (k = 24: 0.6 s at m = 12, 2.4 s and 78 MB at m = 16; shared 2-core
+# x86 machine, Python 3.11).  The caches below hold every (m, i) with
+# 0 <= i <= m up to that bound and evict beyond it, so a long-lived process
+# keeps them bounded.
+MAX_LG_M = 16
+_CACHED_PAIRS = sum(m + 1 for m in range(1, MAX_LG_M + 1))
 
 
 def _check_index(m: int, i: int) -> None:
@@ -194,100 +193,3 @@ def skein_coefficient_report(m: int, r: int = 1) -> tuple[SkeinCoefficient, ...]
         product = raw * reduce_at_root(projector_trace(m, i), m, r)
         rows.append(SkeinCoefficient(i=i, raw=raw, product=product))
     return tuple(rows)
-
-
-def characteristic_identity_holds(
-    m: int, eigenvalues: tuple[Laurent2, ...] | None = None
-) -> bool:
-    """
-    Whether the order-(m+1) characteristic polynomial built from the given
-    eigenvalue list annihilates every true braiding eigenvalue.  With the
-    default list this is an identity; a perturbed list is the natural
-    negative control.
-    """
-    if eigenvalues is None:
-        eigenvalues = [braiding_eigenvalue(m, i) for i in range(m + 1)]
-    model = tuple(eigenvalues)
-    if len(model) != m + 1:
-        raise ValueError(f"need {m + 1} eigenvalues, got {len(model)}")
-    for i in range(m + 1):
-        x = braiding_eigenvalue(m, i)
-        prod = Laurent2.one()
-        for mu in model:
-            prod = prod * (x - mu)
-            if prod.is_zero():
-                break
-        if not prod.is_zero():
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class WeightLabel:
-    """
-    A highest-weight label (0_{m-i-j}, -1_i, -2_j | s*alpha + i + 2j).
-
-    The parameter alpha stays symbolic; ``alpha_scale`` is 1 for labels on
-    the base module and 2 for labels inside its tensor square.
-    """
-
-    m: int
-    i: int
-    j: int
-    alpha_scale: int = 1
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0 or self.i + self.j > self.m:
-            raise ValueError(
-                f"need i, j >= 0 and i + j <= m; got (m, i, j) = "
-                f"({self.m}, {self.i}, {self.j})"
-            )
-        if self.alpha_scale not in (1, 2):
-            raise ValueError("alpha_scale must be 1 or 2")
-
-    def entries(self) -> tuple[int, ...]:
-        """The first m weight entries (the body, before the bar)."""
-        return (0,) * (self.m - self.i - self.j) + (-1,) * self.i + (-2,) * self.j
-
-    def shift_text(self) -> str:
-        """The last entry, an affine expression in alpha."""
-        head = "alpha" if self.alpha_scale == 1 else f"{self.alpha_scale}alpha"
-        off = self.i + 2 * self.j
-        return head if off == 0 else f"{head}+{off}"
-
-    def __str__(self) -> str:
-        body = ",".join(str(e) for e in self.entries())
-        return f"({body}|{self.shift_text()})"
-
-
-def weight_decompositions(
-    m: int,
-) -> tuple[tuple[WeightLabel, ...], tuple[tuple[WeightLabel, ...], ...]]:
-    """
-    Symbolic decomposition bookkeeping for the tensor square.
-
-    Returns (tensor_square, kac) where ``tensor_square`` lists the m+1
-    summand labels of the tensor square and ``kac[i]`` lists the labels of
-    the i-th summand's decomposition under the even subalgebra
-    (j = 0..i, k = i..m, label (k-j, j | 2alpha)).
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    tensor_square = tuple(WeightLabel(m, i, 0, 2) for i in range(m + 1))
-    kac = tuple(
-        tuple(
-            WeightLabel(m, k - j, j, 2)
-            for j in range(i + 1)
-            for k in range(i, m + 1)
-        )
-        for i in range(m + 1)
-    )
-    return tensor_square, kac
-
-
-def module_decomposition(m: int) -> tuple[WeightLabel, ...]:
-    """Labels of the base module's decomposition under the even subalgebra."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return tuple(WeightLabel(m, i, 0, 1) for i in range(m + 1))
-

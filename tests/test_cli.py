@@ -18,7 +18,7 @@ from linksgould.cli import (
     MAX_VERIFY_K,
     main,
 )
-from linksgould.conway import DEFAULT_CROSSING_BUDGET
+from linksgould.conway import MAX_SKEIN_CROSSINGS
 from linksgould.tensor import (
     TensorAssignment,
     braid_bracket,
@@ -79,12 +79,6 @@ def test_alexander_parse_error(capsys):
     assert "braid letter" in err or "0 is not" in err
 
 
-def test_alexander_budget_exceeded(capsys):
-    code, _, err = run(capsys, "alexander", "1 1 1", "--budget", "2")
-    assert code == 3
-    assert "budget" in err
-
-
 def run_over_bound(capsys, *argv):
     """Run a command past an input bound: exit 3 before any real work."""
     started = time.perf_counter()
@@ -94,9 +88,23 @@ def run_over_bound(capsys, *argv):
     return err
 
 
+def test_alexander_budget_exceeded(capsys):
+    bound = MAX_SKEIN_CROSSINGS
+    err = run_over_bound(capsys, "alexander", " ".join(["1"] * (bound + 1)))
+    assert f"{bound + 1} crossings exceed the bound of {bound}" in err
+
+
+def test_alexander_budget_option_removed(capsys):
+    # The crossing bound is fixed, so --budget is an unknown option.
+    with pytest.raises(SystemExit) as exc:
+        main(["alexander", "1 1 1", "--budget", "2"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_alexander_strand_bound(capsys):
     # One letter on 10^8 + 1 strands: braid_closure would allocate a list
-    # per strand before the crossing budget is ever consulted.
+    # per strand before the crossing bound is ever consulted.
     err = run_over_bound(capsys, "alexander", "100000000")
     assert f"bound of {MAX_ALEXANDER_STRANDS}" in err
     err = run_over_bound(
@@ -127,7 +135,7 @@ def test_tensor_eval_strand_bound(capsys):
 
 
 def test_verify_bounds(capsys):
-    assert MAX_VERIFY_K <= DEFAULT_CROSSING_BUDGET
+    assert MAX_VERIFY_K <= MAX_SKEIN_CROSSINGS
     for _, defaults in SUITES.values():
         assert defaults["max_m"] <= MAX_LG_M and defaults["max_k"] <= MAX_VERIFY_K
     assert 8 <= min(MAX_LG_M, MAX_VERIFY_K)  # the theorem-grid benchmark

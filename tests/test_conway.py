@@ -7,7 +7,7 @@ from linksgould.braid import BraidWord, parse_braid
 from linksgould.cli import main
 from linksgould.conway import conway, first_violation
 from linksgould.diagram import braid_closure, canonical_key, component_count
-from linksgould.errors import BudgetError, CrossingBudgetError
+from linksgould.errors import BudgetError
 from linksgould.laurent import HalfLaurent, Laurent2
 from linksgould.rational import RationalFn
 
@@ -73,10 +73,13 @@ def test_mirror_negates_odd_part():
     assert conway(braid_closure(mirror)) == conway(braid_closure(w)).mirror()
 
 
-def test_budget_enforced():
-    with pytest.raises(CrossingBudgetError):
-        conway(closure("1 1 1"), budget=2)
-    assert conway(closure("1 1 1"), budget=3) == s(2) - 1 + s(-2)
+def test_budget_enforced(monkeypatch):
+    engine = sys.modules["linksgould.conway"]
+    monkeypatch.setattr(engine, "MAX_SKEIN_CROSSINGS", 2)
+    with pytest.raises(BudgetError, match="3 crossings exceed the bound of 2"):
+        conway(closure("1 1 1"))
+    monkeypatch.setattr(engine, "MAX_SKEIN_CROSSINGS", 3)
+    assert conway(closure("1 1 1")) == s(2) - 1 + s(-2)
 
 
 def test_keyed_diagram_bound(monkeypatch, capsys):

@@ -120,6 +120,13 @@ def test_qfree_embedding_and_mixed_equality():
         c._coerce(q(1))  # q-dependent values must come through reduce_at_root
 
 
+def test_mixed_operands_on_either_side():
+    x = reduce_at_root(q(1), 2, 1)  # q = i, so x^2 = -1
+    assert 1 - x == -(x - 1)
+    assert (1 - x) * (1 + x) == 2
+    assert 1 + x == x + 1 and 2 * x == x * 2
+
+
 def test_conjugate_composes_and_needs_a_unit():
     x = CycloFraction(12, t(2) * q(3) - q(1) + 5, q(2) + t(-1))
     for a in (1, 5, 7, 11):

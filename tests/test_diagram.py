@@ -11,7 +11,6 @@ from linksgould.diagram import (
     is_split,
     smooth_crossing,
     switch_crossing,
-    writhe,
 )
 
 
@@ -51,8 +50,8 @@ def test_closure_examples():
     assert component_count(braid_closure(parse_braid("1 1"))) == 2
     ident = braid_closure(parse_braid("", strands=2))
     assert component_count(ident) == 2 and len(ident.crossings) == 0
-    assert writhe(braid_closure(parse_braid("1 1 1"))) == 3
-    assert writhe(braid_closure(parse_braid("-1 -1"))) == -2
+    assert sum(sign for _, sign in braid_closure(parse_braid("1 1 1")).crossings) == 3
+    assert sum(sign for _, sign in braid_closure(parse_braid("-1 -1")).crossings) == -2
 
 
 def test_split_detection():

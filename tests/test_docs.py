@@ -1,5 +1,8 @@
-"""README's quick start runs as written, and the export lists are sound."""
+"""README's quick start and the CLI's usage text match the code, and the
+export lists are sound."""
+import argparse
 import importlib
+import itertools
 import pkgutil
 import re
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import linksgould
+from linksgould import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +34,28 @@ def test_exported_names_resolve_once(module):
     assert len(names) == len(set(names)), module.__name__
     for name in names:
         assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _parser_options(parser, path=()):
+    """Map each leaf command path to the options its parser shows, less --help."""
+    actions = parser._actions
+    subs = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        shown = [a for a in actions if a.help != argparse.SUPPRESS]
+        options = {o for a in shown for o in a.option_strings}
+        return {path: options - {"-h", "--help"}}
+    found = {}
+    for action in subs:
+        for name, sub in action.choices.items():
+            found.update(_parser_options(sub, path + (name,)))
+    return found
+
+
+def test_cli_usage_docstring_matches_parser():
+    block = cli.__doc__.split("Commands:", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        path = tuple(itertools.takewhile(lambda w: w[0] not in "<[-", words))
+        documented[path] = set(re.findall(r"--[a-z][a-z-]*", line))
+    assert documented == _parser_options(cli._build_parser())

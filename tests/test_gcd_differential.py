@@ -54,8 +54,10 @@ def test_gcd_matches_sympy_up_to_units():
         f, g = a * c, b * c
         mine = laurent_gcd(f, g)
         theirs = from_sympy_poly(sympy.gcd(to_sympy_poly(f), to_sympy_poly(g)))
-        # associates in the Laurent ring: each divides the other
-        assert mine.divides(theirs) and theirs.divides(mine), (f, g, mine, theirs)
+        # associates in the Laurent ring: each divides the other, and
+        # exact_div raises ValueError unless the division is exact
+        theirs.exact_div(mine)
+        mine.exact_div(theirs)
         # and the gcd really divides both inputs
         f.exact_div(mine)
         g.exact_div(mine)

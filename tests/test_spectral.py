@@ -8,16 +8,12 @@ from linksgould.cyclotomic import CycloFraction, reduce_at_root
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
 from linksgould.spectral import (
-    WeightLabel,
     _trace_parts,
     braiding_eigenvalue,
-    characteristic_identity_holds,
     lg_closed_2braid,
-    module_decomposition,
     projector_trace,
     quantum_trace,
     skein_coefficient_report,
-    weight_decompositions,
 )
 
 t = Laurent2.t
@@ -253,41 +249,6 @@ def test_skein_coefficient_m2_values():
     assert rows[1].raw == -(t(2) - t(-2))
     assert rows[0].raw.is_zero()
     assert rows[2].raw.is_zero()
-
-
-def test_characteristic_identity():
-    assert characteristic_identity_holds(1)
-    assert characteristic_identity_holds(2)
-    assert characteristic_identity_holds(5)
-    xs = [braiding_eigenvalue(2, i) for i in range(3)]
-    xs[1] = xs[1] + 1
-    assert not characteristic_identity_holds(2, tuple(xs))
-    with pytest.raises(ValueError):
-        characteristic_identity_holds(2, (t(1),))
-
-
-def test_weight_labels():
-    tensor_square, kac = weight_decompositions(2)
-    assert len(tensor_square) == 3
-    assert [str(w) for w in tensor_square] == [
-        "(0,0|2alpha)",
-        "(0,-1|2alpha+1)",
-        "(-1,-1|2alpha+2)",
-    ]
-    assert [(w.i, w.j) for w in kac[1]] == [(1, 0), (2, 0), (0, 1), (1, 1)]
-    assert str(WeightLabel(3, 0, 0, 1)) == "(0,0,0|alpha)"
-    assert [w.i for w in module_decomposition(4)] == [0, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        WeightLabel(2, 2, 1, 2)  # i + j > m
-
-
-def test_kac_lists_cover_square():
-    # sum over i of |kac[i]| equals sum over i of (i+1)(m-i+1)
-    for m in (1, 2, 3, 4):
-        _, kac = weight_decompositions(m)
-        assert [len(k) for k in kac] == [
-            (i + 1) * (m - i + 1) for i in range(m + 1)
-        ]
 
 
 def test_involution_on_eigenvalue():
