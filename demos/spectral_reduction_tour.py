@@ -2,7 +2,8 @@
 
 The braiding on the tensor square splits over m+1 projectors with unit
 monomial eigenvalues, so closed 2-braids have exact two-variable values.
-At q = exp(i*pi*r/m), gcd(r, m) = 1, those values collapse to
+``reduce_at_root`` evaluates them exactly at q = exp(i*pi*r/m) for any
+integer r.  At the paper's roots, gcd(r, m) = 1, those values collapse to
 Alexander-Conway values: the inner projector traces vanish and the two
 surviving eigenvalues straddle an order-two skein relation.
 """

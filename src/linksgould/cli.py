@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import gcd
 
 from .braid import parse_braid
 from .conway import conway
@@ -149,10 +148,7 @@ def _cmd_lg2braid(args) -> int:
     if args.root is None:
         print(value.render())
         return 0
-    # exp(i*pi*r/m) only depends on the fraction r/m, so a common factor
-    # is removed before reducing; the evaluation point is unchanged.
-    g = gcd(abs(args.root), args.m) or 1
-    reduced = reduce_at_root(value, args.m // g, args.root // g)
+    reduced = reduce_at_root(value, args.m, args.root)
     print(reduced.render())
     print(f"# at q = exp(i*pi*{args.root}/{args.m}), modulo {reduced.modulus()} = 0")
     return 0

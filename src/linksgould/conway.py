@@ -8,7 +8,7 @@ unlink (value 1 for one component, else 0), and any split diagram has
 value 0 (switch a crossing-free pair of components past each other: the
 relation forces (s - s^-1) D = 0).
 
-Resolution strategy: walk the components from their basepoints in order;
+Resolution strategy: walk the components in order, each from its first passage;
 if every crossing is first met on its over strand the diagram is
 descending.  Otherwise take the first violating crossing c and resolve
     D(d) = D(switch c) + sign(c) * (s - s^-1) * D(smooth c).
@@ -51,8 +51,8 @@ _SKEIN = HalfLaurent.s() - HalfLaurent.s(-1)
 def first_violation(d: OrientedDiagram) -> int | None:
     """The first crossing met on its under strand, or None if descending."""
     seen: set[int] = set()
-    for index in range(len(d.components)):
-        for cid, over in d.walk(index):
+    for comp in d.components:
+        for cid, over in comp:
             if cid in seen:
                 continue
             seen.add(cid)

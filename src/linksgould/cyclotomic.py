@@ -13,6 +13,11 @@ each other: the ring automorphism q -> q^e of the quotient, for e coprime
 to d, carries the value at one root to the value at its e-th power.  So
 a value is reduced modulo Phi_d once and every other root of that order
 is reached by ``CycloFraction.conjugate``.
+
+``CycloFraction`` lifts an operand through ``RationalFn``'s lift and
+returns ``NotImplemented`` for any type that lift refuses, as the mixing
+rule in ``laurent`` says.  Only a q-free value embeds in the quotient; a
+q-dependent one must come through ``reduce_at_root``.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from math import gcd
 
 from .errors import PoleAtRootError
 from .laurent import Laurent2
-from .rational import RationalFn
+from .rational import RationalFn, _Quotient
 
 __all__ = ["cyclotomic_poly", "CycloFraction", "reduce_at_root", "root_order"]
 
@@ -106,7 +111,7 @@ def root_order(m: int, r: int) -> int:
     return _root_power(m, r)[0]
 
 
-class CycloFraction:
+class CycloFraction(_Quotient):
     """
     A fraction over Z[t, t^-1][q] / Phi_d(q).
 
@@ -116,7 +121,7 @@ class CycloFraction:
     because Phi_d is irreducible (the quotient is an integral domain).
     """
 
-    __slots__ = ("d", "num", "den")
+    __slots__ = ("d",)
 
     def __init__(self, d: int, num: Laurent2 | int, den: Laurent2 | int = 1):
         if d < 1:
@@ -133,17 +138,6 @@ class CycloFraction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *_):
-        raise AttributeError("CycloFraction is immutable")
-
-    # -- predicates ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> CycloFraction:
@@ -153,26 +147,20 @@ class CycloFraction:
                     f"mixed moduli: Phi_{self.d} versus Phi_{other.d}"
                 )
             return other
-        if isinstance(other, int):
-            return CycloFraction(self.d, other)
-        if isinstance(other, Laurent2):
-            if not other.is_q_free():
-                raise ValueError(
-                    "only q-free values embed unambiguously; "
-                    "use reduce_at_root for q-dependent ones"
-                )
-            return CycloFraction(self.d, other)
-        if isinstance(other, RationalFn):
-            if not (other.num.is_q_free() and other.den.is_q_free()):
-                raise ValueError(
-                    "only q-free values embed unambiguously; "
-                    "use reduce_at_root for q-dependent ones"
-                )
-            return CycloFraction(self.d, other.num, other.den)
-        raise TypeError(f"cannot mix CycloFraction with {type(other).__name__}")
+        other = RationalFn._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not (other.num.is_q_free() and other.den.is_q_free()):
+            raise ValueError(
+                "only q-free values embed unambiguously; "
+                "use reduce_at_root for q-dependent ones"
+            )
+        return CycloFraction(self.d, other.num, other.den)
 
     def __add__(self, other) -> CycloFraction:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.den == other.den:
             return CycloFraction(self.d, self.num + other.num, self.den)
         return CycloFraction(
@@ -183,12 +171,6 @@ class CycloFraction:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> CycloFraction:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> CycloFraction:
-        return self._coerce(other) - self
-
     def __neg__(self) -> CycloFraction:
         out = CycloFraction.__new__(CycloFraction)
         object.__setattr__(out, "d", self.d)
@@ -198,6 +180,8 @@ class CycloFraction:
 
     def __mul__(self, other) -> CycloFraction:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return CycloFraction(self.d, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -225,9 +209,8 @@ class CycloFraction:
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Laurent2, RationalFn, CycloFraction)):
-            other = self._coerce(other)
-        else:
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         diff = self.num * other.den - other.num * self.den
         return _reduce_laurent(diff, self.d).is_zero()
@@ -236,16 +219,8 @@ class CycloFraction:
 
     # -- text --------------------------------------------------------------
 
-    def render(self) -> str:
-        if self.den.is_one():
-            return self.num.render()
-        return f"({self.num.render()})/({self.den.render()})"
-
     def modulus(self) -> Laurent2:
         return cyclotomic_poly(self.d)
-
-    def __str__(self) -> str:
-        return self.render()
 
     def __repr__(self) -> str:
         return f"CycloFraction(d={self.d}, {self.render()!r})"
@@ -253,26 +228,21 @@ class CycloFraction:
 
 def reduce_at_root(x: Laurent2 | RationalFn, m: int, r: int = 1) -> CycloFraction:
     """
-    Evaluate x at q = exp(i*pi*r/m), exactly.
+    Evaluate x at q = exp(i*pi*r/m), exactly, for any integer r.
 
-    Requires gcd(r, m) = 1 (reduce a common factor out of r/m first if you
-    need other points on the unit circle).  The result lives in the
-    quotient ring modulo Phi_d with d = 2m/gcd(r, 2m); the original q maps
-    to the (r/gcd(r,2m))-th power of the residue class of q, which is a
-    primitive d-th root of unity.
+    The result lives in the quotient ring modulo Phi_d with
+    d = 2m/gcd(r, 2m); the original q maps to the (r/gcd(r,2m))-th power
+    of the residue class of q, which is a primitive d-th root of unity.
+    The point depends only on r/m, so with g = gcd(r, m) the result equals
+    reduce_at_root(x, m // g, r // g).
 
     Raises PoleAtRootError when a denominator vanishes at the root.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if gcd(r, m) != 1:
-        raise ValueError(f"r={r} and m={m} must be relatively prime")
     d, e = _root_power(m, r)
-    if isinstance(x, Laurent2):
-        return CycloFraction(d, x).conjugate(e)
-    if isinstance(x, RationalFn):
-        return CycloFraction(d, x.num, x.den).conjugate(e)
-    raise TypeError(f"cannot reduce {type(x).__name__} at a root of unity")
+    f = RationalFn._coerce(x)
+    if f is NotImplemented:
+        raise TypeError(f"cannot reduce {type(x).__name__} at a root of unity")
+    return CycloFraction(d, f.num, f.den).conjugate(e)
 
 
 def _power_q(p: Laurent2, e: int, d: int) -> Laurent2:

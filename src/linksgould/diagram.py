@@ -2,7 +2,7 @@
 Oriented link diagrams as signed Gauss data, plus crossing surgery.
 
 A diagram is a set of signed crossings together with one cyclic passage
-sequence per component: walking a component from its basepoint visits
+sequence per component: walking a component from its first passage visits
 crossings in order, each passage marked over or under.  Every crossing is
 visited exactly twice, once on each strand.  This is all the structure
 the skein engine needs: switching a crossing flips its sign and flags,
@@ -36,16 +36,8 @@ Passage = tuple[int, bool]  # (crossing id, met on the over strand?)
 class OrientedDiagram:
     crossings: tuple[tuple[int, int], ...]  # (id, sign)
     components: tuple[tuple[Passage, ...], ...]
-    basepoints: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.basepoints) != len(self.components):
-            raise ValueError("one basepoint per component")
-        for bp, comp in zip(self.basepoints, self.components):
-            if comp and not 0 <= bp < len(comp):
-                raise ValueError(f"basepoint {bp} outside component")
-            if not comp and bp != 0:
-                raise ValueError("empty component must have basepoint 0")
         seen: dict[int, list[bool]] = {}
         for comp in self.components:
             for cid, over in comp:
@@ -67,12 +59,6 @@ class OrientedDiagram:
             if c == cid:
                 return sign
         raise KeyError(f"no crossing {cid}")
-
-    def walk(self, index: int):
-        """Passages of one component in traversal order from its basepoint."""
-        comp = self.components[index]
-        bp = self.basepoints[index]
-        return comp[bp:] + comp[:bp]
 
 
 def braid_closure(word: BraidWord) -> OrientedDiagram:
@@ -114,7 +100,6 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
     return OrientedDiagram(
         crossings=tuple((cid, sign) for cid, (idx, sign) in enumerate(word.letters)),
         components=tuple(comps),
-        basepoints=(0,) * len(comps),
     )
 
 
@@ -161,9 +146,9 @@ def canonical_key(d: OrientedDiagram) -> str:
     signs = dict(d.crossings)
     relabel: dict[int, int] = {}
     pieces: list[str] = []
-    for index in range(len(d.components)):
+    for comp in d.components:
         chunk: list[str] = []
-        for cid, over in d.walk(index):
+        for cid, over in comp:
             if cid not in relabel:
                 relabel[cid] = len(relabel)
             sign = "+" if signs[cid] > 0 else "-"
@@ -194,7 +179,7 @@ def switch_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
         tuple((c, not over) if c == cid else (c, over) for c, over in comp)
         for comp in d.components
     )
-    return OrientedDiagram(crossings, components, d.basepoints)
+    return OrientedDiagram(crossings, components)
 
 
 def smooth_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
@@ -202,7 +187,7 @@ def smooth_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
     The oriented smoothing: delete the crossing and reconnect the strands
     the only way compatible with orientation.  A self-crossing splits its
     component in two; a crossing between two components merges them.
-    New components restart at the splice, so basepoints reset to 0.
+    New components start at the splice.
     """
     (c1, p1, _), (c2, p2, _) = _locate(d, cid)
     crossings = tuple((c, s) for c, s in d.crossings if c != cid)
@@ -219,4 +204,4 @@ def smooth_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
         keep, drop = min(c1, c2), max(c1, c2)
         comps[keep] = merged
         del comps[drop]
-    return OrientedDiagram(crossings, tuple(comps), (0,) * len(comps))
+    return OrientedDiagram(crossings, tuple(comps))

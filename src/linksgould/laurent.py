@@ -15,6 +15,13 @@ stores a map from exponent keys to nonzero integer coefficients:
 All values are immutable and hashable; arithmetic always returns
 canonical forms (no explicit zero coefficients are ever stored), so two
 values are equal exactly when their term maps are equal.
+
+The exact scalar types mix by one rule.  Each binary operation lifts the
+other operand into its own type when it can, and otherwise returns
+``NotImplemented``, so Python calls the wider type's reflected method.
+For q-free values the types nest as ``int`` in ``Laurent2`` in
+``RationalFn`` in ``CycloFraction``; ``HalfLaurent`` lifts only ``int``.
+An operand that no type can lift gets Python's own ``TypeError``.
 """
 from __future__ import annotations
 
@@ -39,6 +46,20 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
         else:
             out.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(out)
+
+
+def _square_and_multiply(x, n: int, one, invert):
+    """x ** n by square and multiply; a negative n powers invert(x)."""
+    if n < 0:
+        x, n = invert(x), -n
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one() if result is None else result
 
 
 def _var_power(name: str, e: int) -> str:
@@ -81,11 +102,12 @@ class _SparseLaurent:
         return p
 
     def _coerce(self, x):
+        """x in this ring, or NotImplemented when x is neither self's type nor an int."""
         if isinstance(x, type(self)):
             return x
         if isinstance(x, int):
             return self.const(x)
-        raise TypeError(f"cannot mix {type(self).__name__} with {type(x).__name__}")
+        return NotImplemented
 
     # -- constructors ------------------------------------------------------
 
@@ -126,6 +148,8 @@ class _SparseLaurent:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
@@ -138,26 +162,18 @@ class _SparseLaurent:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
         return self._raw({e: -c for e, c in self._terms.items()})
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.one() if result is None else result
+        return _square_and_multiply(self, n, self.one, _SparseLaurent.monomial_inverse)
 
     def monomial_inverse(self):
         """Inverse of a unit monomial (coefficient must be +-1)."""
@@ -270,6 +286,8 @@ class Laurent2(_SparseLaurent):
 
     def __mul__(self, other: Laurent2 | int) -> Laurent2:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
@@ -381,6 +399,8 @@ class HalfLaurent(_SparseLaurent):
 
     def __mul__(self, other: HalfLaurent | int) -> HalfLaurent:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():

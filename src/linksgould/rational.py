@@ -10,6 +10,12 @@ cheap.  Value equality is always decided by cross-multiplication, so
 correctness never depends on how much cancellation happened; the normal
 form only keeps printed output and intermediate sizes sane.
 
+``RationalFn`` lifts an ``int`` or a ``Laurent2`` operand to a fraction
+with denominator 1 and returns ``NotImplemented`` for any other type, as
+the mixing rule in ``laurent`` says; ``CycloFraction`` lifts through this
+same lift.  Both fraction types share the ring-free part of a quotient,
+``_Quotient``.
+
 The gcd itself is one subresultant polynomial remainder sequence whose
 coefficients are ``Laurent2`` values: a polynomial is split by powers of
 its main variable (t or q, whichever has the smaller span), the
@@ -22,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .laurent import Laurent2
+from .laurent import Laurent2, _square_and_multiply
 
 __all__ = ["RationalFn", "laurent_gcd"]
 
@@ -216,10 +222,45 @@ def laurent_gcd(a: Laurent2, b: Laurent2) -> Laurent2:
 
 
 # ---------------------------------------------------------------------------
-# the fraction type
+# the fraction types
 # ---------------------------------------------------------------------------
 
-class RationalFn:
+class _Quotient:
+    """
+    The ring-free part of an immutable quotient ``num/den`` of ``Laurent2``
+    values.  A subclass supplies ``_coerce`` (the other operand in its own
+    type, or NotImplemented), ``__add__`` and ``__neg__``.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.num._terms
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
+
+    def render(self) -> str:
+        if self.den.is_one():
+            return self.num.render()
+        return f"({self.num.render()})/({self.den.render()})"
+
+    def __str__(self) -> str:
+        return self.render()
+
+
+class RationalFn(_Quotient):
     """
     A normalized quotient of two ``Laurent2`` values.
 
@@ -231,7 +272,7 @@ class RationalFn:
     True
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -278,8 +319,16 @@ class RationalFn:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *_):
-        raise AttributeError("RationalFn is immutable")
+    @staticmethod
+    def _coerce(x):
+        """x as a RationalFn, or NotImplemented when x is not an int or a Laurent2."""
+        if isinstance(x, RationalFn):
+            return x
+        if isinstance(x, Laurent2):
+            return _polynomial(x)
+        if isinstance(x, int):
+            return _polynomial(Laurent2.const(x))
+        return NotImplemented
 
     # -- constructors --------------------------------------------------
 
@@ -293,19 +342,13 @@ class RationalFn:
 
     # -- predicates ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num._terms
-
     def is_one(self) -> bool:
         return self.num == self.den
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> RationalFn:
-        other = _coerce_rat(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den._terms == _UNIT_TERMS and other.den._terms == _UNIT_TERMS:
@@ -318,18 +361,6 @@ class RationalFn:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> RationalFn:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> RationalFn:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __neg__(self) -> RationalFn:
         f = RationalFn.__new__(RationalFn)
         object.__setattr__(f, "num", -self.num)
@@ -337,7 +368,7 @@ class RationalFn:
         return f
 
     def __mul__(self, other) -> RationalFn:
-        other = _coerce_rat(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den._terms == _UNIT_TERMS and other.den._terms == _UNIT_TERMS:
@@ -347,29 +378,19 @@ class RationalFn:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> RationalFn:
-        other = _coerce_rat(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.reciprocal()
 
     def __rtruediv__(self, other) -> RationalFn:
-        other = _coerce_rat(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other * self.reciprocal()
 
     def __pow__(self, n: int) -> RationalFn:
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return RationalFn.one() if out is None else out
+        return _square_and_multiply(self, n, RationalFn.one, RationalFn.reciprocal)
 
     def reciprocal(self) -> RationalFn:
         if self.is_zero():
@@ -390,21 +411,13 @@ class RationalFn:
 
     # -- text --------------------------------------------------------------
 
-    def render(self) -> str:
-        if self.den.is_one():
-            return self.num.render()
-        return f"({self.num.render()})/({self.den.render()})"
-
-    def __str__(self) -> str:
-        return self.render()
-
     def __repr__(self) -> str:
         return f"RationalFn({self.render()!r})"
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        other = _coerce_rat(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.num == other.num and self.den == other.den:
@@ -431,11 +444,3 @@ def _polynomial(num: Laurent2) -> RationalFn:
     object.__setattr__(f, "num", num)
     object.__setattr__(f, "den", _DEN_ONE)
     return f
-
-
-def _coerce_rat(x):
-    if isinstance(x, RationalFn):
-        return x
-    if isinstance(x, (Laurent2, int)):
-        return RationalFn(x)
-    return NotImplemented

@@ -38,7 +38,7 @@ from pathlib import Path
 from .braid import BraidWord
 from .errors import BudgetError, FixtureValidationError, NotScalarError
 from .laurent import Laurent2
-from .rational import RationalFn, _polynomial
+from .rational import RationalFn
 from .sliced import Piece, SlicedDiagram, to_sliced
 from .textform import (
     _check_size,
@@ -81,15 +81,7 @@ MAX_TENSOR_DIM = 2 ** (2 * MAX_TENSOR_STRANDS - 1)
 
 
 def _mat(rows) -> Matrix:
-    return tuple(tuple(_coerce(x) for x in row) for row in rows)
-
-
-def _coerce(x) -> RationalFn:
-    if isinstance(x, RationalFn):
-        return x
-    if isinstance(x, (Laurent2, int)):
-        return RationalFn(x)
-    raise TypeError(f"matrix entries must be exact scalars, got {type(x).__name__}")
+    return tuple(tuple(RationalFn._coerce(x) for x in row) for row in rows)
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -120,7 +112,7 @@ def _dense(m: SparseMatrix) -> Matrix:
     for row in rows:
         dense = [_ZERO] * cols
         for j, x in row:
-            dense[j] = x if isinstance(x, RationalFn) else _polynomial(x)
+            dense[j] = RationalFn._coerce(x)
         out.append(tuple(dense))
     return tuple(out)
 

@@ -359,6 +359,26 @@ def test_module_entry_point(argv, code, out):
     assert (done.returncode, done.stdout) == (code, out), done.stderr
 
 
+def test_runs_without_site_packages():
+    # The library has no runtime dependencies: under python -S, which leaves
+    # site-packages off the path, every module imports and the CLI runs.
+    package = Path(linksgould.__file__).resolve().parent
+    modules = sorted(f"linksgould.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "from linksgould import cli\n"
+        "sys.exit(cli.main(['alexander', '1 1 1']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)}, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "t - 1 + t^-1\n"), done.stderr
+
+
 def test_tensor_eval_fixture_file(capsys, tmp_path):
     path = tmp_path / "lg11.json"
     dump_fixture(lg11_fixture(), path)

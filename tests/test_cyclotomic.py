@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -52,9 +53,20 @@ def test_basic_reductions():
     assert reduce_at_root(q(1), 1, 1) == Laurent2.const(-1)
 
 
-def test_coprimality_required():
-    with pytest.raises(ValueError):
-        reduce_at_root(q(1), 2, 2)
+def test_common_factor_of_r_and_m_cancels():
+    # exp(i*pi*r/m) depends only on r/m, so with g = gcd(r, m) > 1 the
+    # value at (m, r) is the value at (m/g, r/g), in the same quotient ring.
+    assert reduce_at_root(q(1), 2, 2) == -1
+    x = RationalFn(t(2) * q(3) - q(-1) + 5, q(1) + t(1))
+    for m in range(2, 9):
+        for r in range(-2 * m, 2 * m + 1):
+            g = gcd(r, m)
+            if g == 1:
+                continue
+            got = reduce_at_root(x, m, r)
+            want = reduce_at_root(x, m // g, r // g)
+            assert got.d == want.d
+            assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_negative_r_reduced_mod_2m():

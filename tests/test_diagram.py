@@ -109,7 +109,6 @@ def relabeled(d, mapping):
     return OrientedDiagram(
         tuple((mapping[c], s) for c, s in d.crossings),
         tuple(tuple((mapping[c], o) for c, o in comp) for comp in d.components),
-        d.basepoints,
     )
 
 
@@ -133,10 +132,8 @@ def test_canonical_key_distinguishes_signs_and_flags():
 
 def test_malformed_diagrams_rejected():
     with pytest.raises(ValueError):
-        OrientedDiagram(((0, 1),), (((0, True), (0, True)),), (0,))
+        OrientedDiagram(((0, 1),), (((0, True), (0, True)),))
     with pytest.raises(ValueError):
-        OrientedDiagram(((0, 1),), (((0, True),),), (0,))
+        OrientedDiagram(((0, 1),), (((0, True),),))
     with pytest.raises(ValueError):
-        OrientedDiagram(((0, 2),), (((0, True), (0, False)),), (0,))
-    with pytest.raises(ValueError):
-        OrientedDiagram((), ((), ()), (0,))
+        OrientedDiagram(((0, 2),), (((0, True), (0, False)),))

@@ -148,9 +148,9 @@ def test_stable_json_identical_across_runs():
 
 
 def test_pole_surfaces_as_failure_not_crash():
-    # r not coprime to m is a usage error at the reduction layer, but the
-    # suites only ever construct coprime pairs; simulate a failing cell by
-    # corrupting instead and check the report shape.
+    # The suites only reduce at roots with r coprime to m, where no value
+    # has a pole; simulate a failing cell by corrupting instead and check
+    # the report shape.
     report = run_suite("theorem2", max_m=2, max_k=1, corrupt_eigenvalues=True)
     for cell in report.cells:
         assert isinstance(cell.left, str) and isinstance(cell.right, str)
