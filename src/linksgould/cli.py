@@ -47,8 +47,8 @@ __all__ = ["main"]
 # bounds, MAX_TENSOR_STRANDS and MAX_TENSOR_DIM, are defined in tensor.py,
 # where load_fixture refuses a fixture too wide to validate before any
 # check runs; tensor eval then bounds the braid's width D^(2n-1) below.  On
-# LG^(1,1) an 8-letter braid takes 0.2 s at that bound of 6 strands and
-# 0.9 s on 7; the bound stays until a wider fixture sets it.  The skein
+# LG^(1,1) an 8-letter braid takes 0.06 s at that bound of 6 strands and
+# 0.27 s on 7; the bound stays until a wider fixture sets it.  The skein
 # engine's crossing bound, MAX_SKEIN_CROSSINGS, is defined in conway.py.
 MAX_ALEXANDER_STRANDS = 1000
 # lg2braid takes |--k| up to MAX_LG_K.  Its cost in |k| depends on m: at

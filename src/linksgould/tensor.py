@@ -19,7 +19,10 @@ Everything is exact.  Matrices are dense at the edges: fixture fields
 and the result of ``bracket`` are full tuples of ``RationalFn`` rows.
 Inside ``bracket`` each slice's matrix is sparse, its rows holding only
 their nonzero entries, so a slice costs its nonzero entries rather than
-the square of its width D^(2n-1).  When every fixture entry is a Laurent
+the square of its width D^(2n-1).  A slice is id (x) P (x) id for its one
+active piece P, and ``_lift`` builds it by index arithmetic, reusing P's
+entries, so the only products ``bracket`` forms are those of ``mat_mul``
+composing the slices.  When every fixture entry is a Laurent
 polynomial, as for LG^(1,1), those entries are the ``Laurent2``
 numerators, which multiply and add without ``RationalFn``'s wrapper;
 otherwise they are ``RationalFn``.  Validation spans D^3 dimensions and
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .braid import BraidWord
@@ -70,9 +73,9 @@ _ONE = RationalFn.one()
 # Input bounds; the CLI exits 3 on going over one.  With D basis states per
 # strand, an n-strand braid spans D^(2n-1) dimensions, and each slice's
 # sparse matrix holds about that many nonzero entries for LG^(1,1): an
-# 8-letter braid takes 0.04 s on 5 strands, 0.2 s on 6, 0.9 s with a
-# 24 MB peak on 7 and 4.7 s with 47 MB on 8 (shared 2-core x86 machine,
-# Python 3.11.7).  Validating a fixture spans D^3 dimensions at a cost of
+# 8-letter braid takes 0.02 s on 5 strands, 0.06 s on 6, 0.27 s with a
+# 20 MB peak on 7 and 0.9-1.1 s with 29 MB on 8 (shared 2-core x86
+# machine, Python 3.11.7).  Validating a fixture spans D^3 dimensions at a cost of
 # about D^6 (D = 10: 1.4 s).  Both widths are bounded by that of LG^(1,1)
 # (D = 2) at MAX_TENSOR_STRANDS; a wider fixture, such as LG^(2,1)'s
 # D = 4, will set them.
@@ -117,7 +120,7 @@ def _dense(m: SparseMatrix) -> Matrix:
     return tuple(out)
 
 
-# kron and mat_mul keep plain names: the benchmark's tracer wraps them by name.
+# mat_mul keeps a plain name: the benchmark's tracer wraps it by name.
 def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     a_rows, a_cols = a
     b_rows, b_cols = b
@@ -138,6 +141,9 @@ def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return tuple(out), b_cols
 
 
+# The general Kronecker product.  ``bracket`` builds its slices with
+# ``_lift`` instead; kron stays because the benchmark's tracer binds it by
+# name, and the kernel tests use it as the oracle that ``_lift`` must equal.
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     a_rows, a_cols = a
     b_rows, b_cols = b
@@ -146,6 +152,22 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         for ra in a_rows
         for rb in b_rows
     ), a_cols * b_cols
+
+
+def _lift(p: SparseMatrix, left: int, right: int) -> SparseMatrix:
+    """
+    id_left (x) p (x) id_right by index arithmetic alone: row (l, r, s) is
+    p's row r with column j moved to (l*cols_p + j)*right + s, and every
+    entry is p's own object, so no entry is multiplied.
+    """
+    p_rows, p_cols = p
+    width = p_cols * right
+    rows = []
+    for base in range(0, left * width, width):
+        for row in p_rows:
+            shifted = [(base + j * right, x) for j, x in row]
+            rows.extend(tuple((c + s, x) for c, x in shifted) for s in range(right))
+    return tuple(rows), left * width
 
 
 def _first_mismatch(a: Matrix, b: Matrix) -> tuple[int, int] | None:
@@ -245,9 +267,10 @@ def bracket(d: SlicedDiagram, a: TensorAssignment) -> Matrix:
         return _mat([[1]])
     total: SparseMatrix | None = None
     for row in d.rows:
-        m = a.piece_matrix(row[0])
-        for piece in row[1:]:
-            m = kron(m, a.piece_matrix(piece))
+        # A row is id^k (x) P (x) id^(len-1-k) for its one active piece P,
+        # or the identity piece lifted by D^(len-1) when it has none.
+        k = next((i for i, piece in enumerate(row) if not piece.is_identity), 0)
+        m = _lift(a.piece_matrix(row[k]), a.dim ** k, a.dim ** (len(row) - 1 - k))
         total = m if total is None else mat_mul(m, total)
     return _dense(total)
 
@@ -363,6 +386,7 @@ def validate_assignment(a: TensorAssignment) -> ValidationReport:
 
 # -- the shipped LG(1,1) assignment ----------------------------------------
 
+@cache
 def lg11_fixture() -> TensorAssignment:
     """
     The two-dimensional assignment computing LG^(1,1), i.e. the
@@ -375,6 +399,9 @@ def lg11_fixture() -> TensorAssignment:
     induces has weights (t, -t), whose vanishing sum is what forces every
     fully closed diagram to the scalar 0 and makes the open-strand
     convention necessary.
+
+    Built once per process: the assignment is frozen, and its sparse
+    pieces are cached on it.
     """
     t = Laurent2.t
     z, o = 0, 1

@@ -51,6 +51,27 @@ def test_lg11_fixture_validates():
     } <= names
 
 
+def test_lg11_fixture_built_once():
+    assert lg11_fixture() is lg11_fixture()
+
+
+def test_bracket_forms_no_identity_products(monkeypatch):
+    # Each slice is id (x) P (x) id built by index arithmetic, so the only
+    # Laurent2 products are mat_mul's: 2 180 here, against 48 404 when every
+    # entry of a slice was a product with an identity's 1.
+    fx = lg11_fixture()
+    word = parse_braid("1 -2 3 -4 5 1 2 -3", 6)
+    mul, calls = Laurent2.__mul__, []
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(Laurent2, "__mul__", counted)
+    assert scalar_of(braid_bracket(word, fx)) == RationalFn(t(1) - t(-1))
+    assert len(calls) <= 5000
+
+
 def test_trivial_dimension_one_assignment():
     one = ((ONE,),)
     a = TensorAssignment(dim=1, R=one, Rinv=one, n=one, ntilde=one, u=one, utilde=one)

@@ -11,7 +11,9 @@ and every result built through ``RationalFn.__init__``.  The kernel's
 operands are made sparse from the dense matrices and its results dense
 again; they must agree field for field (``num`` and ``den``), not merely
 in value.  ``bracket`` must likewise equal the dense composition of
-``dense_kernel`` on braid closures and on the validator's isotopies.
+``dense_kernel`` on braid closures and on the validator's isotopies, and
+``_lift``, which builds each of its slices, must equal the Kronecker
+product with identities on either side.
 """
 from dataclasses import replace
 
@@ -30,8 +32,10 @@ from linksgould.sliced import to_sliced  # noqa: E402
 from linksgould.tensor import (  # noqa: E402
     _ISOTOPIES,
     _dense,
+    _lift,
     _sparse,
     bracket,
+    identity_matrix,
     kron,
     lg11_fixture,
     mat_mul,
@@ -95,6 +99,7 @@ entries = st.one_of(
     laurent2.map(RationalFn),
     st.builds(RationalFn, laurent2, denominators),
 )
+polynomial_entries = st.one_of(st.just(_ZERO), laurent2.map(RationalFn))
 sides = st.integers(1, 4)  # 1 x k and k x 1 are the shapes of caps and cups
 
 
@@ -160,7 +165,7 @@ def assert_numerators(got, want):
 
 
 @laws
-@given(product_pair(st.one_of(st.just(_ZERO), laurent2.map(RationalFn))))
+@given(product_pair(polynomial_entries))
 def test_laurent2_kernel_matches_rationalfn(pair):
     a, b = pair
     laurent = _sparse(a, polynomial=True), _sparse(b, polynomial=True)
@@ -168,6 +173,36 @@ def test_laurent2_kernel_matches_rationalfn(pair):
     assert_numerators(kron(*laurent), kron(*rational))
     assert_numerators(mat_mul(*laurent), mat_mul(*rational))
     assert fields(_dense(mat_mul(*laurent))) == fields(oracle_mat_mul(a, b))
+
+
+@st.composite
+def lift_operand(draw):
+    """A matrix P, and whether its sparse form holds Laurent2 entries."""
+    polynomial = draw(st.booleans())
+    of = polynomial_entries if polynomial else entries
+    return draw(matrices(draw(sides), draw(sides), of)), polynomial
+
+
+padding = st.sampled_from((1, 2, 4))
+
+
+@laws
+@given(lift_operand(), padding, padding)
+def test_lift_matches_kron(operand, left, right):
+    p, polynomial = operand
+    sp = _sparse(p, polynomial)
+    got = _lift(sp, left, right)
+    eye = identity_matrix
+    want = kron(kron(_sparse(eye(left), polynomial), sp), _sparse(eye(right), polynomial))
+    assert got[1] == want[1] and len(got[0]) == len(want[0])
+    for got_row, want_row in zip(got[0], want[0]):
+        assert [j for j, _ in got_row] == [j for j, _ in want_row]
+        for (_, x), (_, y) in zip(got_row, want_row):
+            assert type(x) is type(y) and x == y
+    # Every entry is one of P's own objects: none was multiplied.
+    own = {id(x) for row in sp[0] for _, x in row}
+    assert all(id(x) in own for row in got[0] for _, x in row)
+    assert fields(dense(got)) == fields(oracle_kron(oracle_kron(eye(left), p), eye(right)))
 
 
 @laws
