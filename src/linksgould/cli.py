@@ -28,6 +28,7 @@ from .errors import (
 from .spectral import MAX_LG_M, lg_closed_2braid
 from .tensor import (
     MAX_TENSOR_DIM,
+    MAX_TENSOR_LETTERS,
     MAX_TENSOR_STRANDS,
     braid_bracket,
     lg11_fixture,
@@ -44,11 +45,13 @@ __all__ = ["main"]
 # shared 2-core x86 machine, Python 3.11): braid_closure allocates per
 # strand (10^6 strands: 0.7 s and 190 MB).  The bound on m, MAX_LG_M, is
 # defined in spectral.py, whose caches it sizes.  The tensor engine's
-# bounds, MAX_TENSOR_STRANDS and MAX_TENSOR_DIM, are defined in tensor.py,
-# where load_fixture refuses a fixture too wide to validate before any
-# check runs; tensor eval then bounds the braid's width D^(2n-1) below.  On
-# LG^(1,1) an 8-letter braid takes 0.06 s at that bound of 6 strands and
-# 0.27 s on 7; the bound stays until a wider fixture sets it.  The skein
+# bounds, MAX_TENSOR_STRANDS, MAX_TENSOR_LETTERS and MAX_TENSOR_DIM, are
+# defined in tensor.py, where load_fixture refuses a fixture too wide to
+# validate before any check runs; tensor eval checks strands and letters
+# before it loads a fixture, then bounds the braid's width D^(2n-1).  On
+# LG^(1,1) an 8-letter braid takes 9-18 ms at that bound of 6 strands and
+# 0.02-0.04 s on 7; the bound stays until a wider fixture sets it.  A
+# 6-strand braid at the bound of 100 letters took 1.2-3.3 s.  The skein
 # engine's crossing bound, MAX_SKEIN_CROSSINGS, is defined in conway.py.
 MAX_ALEXANDER_STRANDS = 1000
 # lg2braid takes |--k| up to MAX_LG_K.  Its cost in |k| depends on m: at
@@ -173,9 +176,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tensor_eval(args) -> int:
-    fixture = lg11_fixture() if args.fixture is None else load_fixture(args.fixture)
     word = parse_braid(args.braid, args.strands)
     _check_bound("strand count", word.strands, MAX_TENSOR_STRANDS)
+    _check_bound("letter count", len(word.letters), MAX_TENSOR_LETTERS)
+    fixture = lg11_fixture() if args.fixture is None else load_fixture(args.fixture)
     _check_bound(
         f"tensor dimension {fixture.dim}^{2 * word.strands - 1} =",
         fixture.dim ** (2 * word.strands - 1),

@@ -12,37 +12,48 @@ strand (first move), and the four zigzags straighten (planar isotopy):
 
     n  . u~ = id      u  . n~ = id      n~ . u  = id      u~ . n  = id
 
-Evaluating a braid closure sliced as a (1,1)-tangle and extracting the
-scalar yields the link invariant of the closure.
+The bracket of a braid closure sliced as a (1,1)-tangle is a scalar
+times the identity, and that scalar is the link invariant of the closure.
+``braid_bracket`` computes it without slicing: it evolves sparse basis
+states of the n upward strands through each letter's R or Rinv, which
+touches two strands only, and takes the closing strands 2..n as a
+partial trace weighted by their cup and cap.  Its cost is D^n start
+states times letters times state size, where the sliced closure is
+D^(2n-1) wide.  ``bracket`` composes any sliced diagram slice by slice;
+it checks the fixture axioms in ``validate_assignment`` and is the
+oracle that ``braid_bracket`` must equal on
+``to_sliced(word, keep_open=True)``.
 
 Everything is exact.  Matrices are dense at the edges: fixture fields
-and the result of ``bracket`` are full tuples of ``RationalFn`` rows.
-Inside ``bracket`` each slice's matrix is sparse, its rows holding only
-their nonzero entries, so a slice costs its nonzero entries rather than
-the square of its width D^(2n-1).  A slice is id (x) P (x) id for its one
-active piece P, and ``_lift`` builds it by index arithmetic, reusing P's
-entries, so the only products ``bracket`` forms are those of ``mat_mul``
-composing the slices.  When every fixture entry is a Laurent
-polynomial, as for LG^(1,1), those entries are the ``Laurent2``
-numerators, which multiply and add without ``RationalFn``'s wrapper;
-otherwise they are ``RationalFn``.  Validation spans D^3 dimensions and
-costs about D^6, so ``load_fixture`` refuses a fixture with
-D^3 > ``MAX_TENSOR_DIM`` before any check runs, and likewise one whose
-entries' products, as validation forms them, could outgrow the text
-grammar's expression bound.
+and the results of ``bracket`` and ``braid_bracket`` are full tuples of
+``RationalFn`` rows.  Inside ``bracket`` each slice's matrix is sparse,
+its rows holding only their nonzero entries, so a slice costs its
+nonzero entries rather than the square of its width.  A slice is
+id (x) P (x) id for its one active piece P, and ``_lift`` builds it by
+index arithmetic, reusing P's entries, so the only products ``bracket``
+forms are those of ``mat_mul`` composing the slices.  When every fixture
+entry is a Laurent polynomial, as for LG^(1,1), both routes compute with
+the ``Laurent2`` numerators, which multiply and add without
+``RationalFn``'s wrapper; otherwise with ``RationalFn``.  Validation
+spans D^3 dimensions and costs about D^6, so ``load_fixture`` refuses a
+fixture with D^3 > ``MAX_TENSOR_DIM`` before any check runs, and likewise
+one whose entries' products, as validation forms them, could outgrow the
+text grammar's expression bound.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 from .braid import BraidWord
 from .errors import BudgetError, FixtureValidationError, NotScalarError
 from .laurent import Laurent2
 from .rational import RationalFn
-from .sliced import Piece, SlicedDiagram, to_sliced
+from .sliced import Piece, SlicedDiagram
 from .textform import (
     _check_size,
     _fraction_boxes,
@@ -71,16 +82,23 @@ _ZERO = RationalFn.zero()
 _ONE = RationalFn.one()
 
 # Input bounds; the CLI exits 3 on going over one.  With D basis states per
-# strand, an n-strand braid spans D^(2n-1) dimensions, and each slice's
-# sparse matrix holds about that many nonzero entries for LG^(1,1): an
-# 8-letter braid takes 0.02 s on 5 strands, 0.06 s on 6, 0.27 s with a
-# 20 MB peak on 7 and 0.9-1.1 s with 29 MB on 8 (shared 2-core x86
-# machine, Python 3.11.7).  Validating a fixture spans D^3 dimensions at a cost of
-# about D^6 (D = 10: 1.4 s).  Both widths are bounded by that of LG^(1,1)
-# (D = 2) at MAX_TENSOR_STRANDS; a wider fixture, such as LG^(2,1)'s
-# D = 4, will set them.
+# strand, ``braid_bracket`` evolves D^n start states on n strands, each
+# through every letter, and a state holds at most D^n entries.  For
+# LG^(1,1) an 8-letter braid takes 3-5 ms on 5 strands, 9-18 ms on 6,
+# 0.02-0.04 s on 7, 0.03-0.1 s on 8 and, with a 12-letter braid, 0.4-0.5 s
+# on 10 and 2-2.6 s on 12, each peaking at 16 MB (shared 2-core x86
+# machine, Python 3.11.7).  Validating a fixture spans D^3 dimensions at
+# a cost of about D^6 (D = 10: 1.4 s).  Both widths are bounded by that of
+# LG^(1,1) (D = 2) at MAX_TENSOR_STRANDS, with D^(2n-1) the width of the
+# sliced closure; a wider fixture, such as LG^(2,1)'s D = 4, will set them.
 MAX_TENSOR_STRANDS = 6
 MAX_TENSOR_DIM = 2 ** (2 * MAX_TENSOR_STRANDS - 1)
+# The entries grow with the letters, so the cost grows faster than
+# linearly in them: on 6 strands, random LG^(1,1) braids of 100 letters
+# took 1.2-1.4 s, of 150 letters 2.1-2.8 s and of 200 letters 4.4-5.1 s;
+# the slowest braid tried, 1 -2 3 -4 5 repeated, took 3.3 s at 100
+# letters and 5.0-5.7 s at 128.
+MAX_TENSOR_LETTERS = 100
 
 
 def _mat(rows) -> Matrix:
@@ -276,8 +294,69 @@ def bracket(d: SlicedDiagram, a: TensorAssignment) -> Matrix:
 
 
 def braid_bracket(word: BraidWord, a: TensorAssignment) -> Matrix:
-    """Bracket of the braid closure sliced as a (1,1)-tangle."""
-    return bracket(to_sliced(word, keep_open=True), a)
+    """
+    Bracket of the braid closure as a (1,1)-tangle: the first strand runs
+    through and strands 2..n close to the right.  It equals
+    ``bracket(to_sliced(word, keep_open=True), a)`` entry for entry, but
+    evolves sparse basis states rather than composing D^(2n-1)-wide slices.
+    """
+    return _dense(_evolve_closure(word, a))
+
+
+def _evolve_closure(word: BraidWord, a: TensorAssignment) -> SparseMatrix:
+    """
+    Closing strand j is a partial trace: a cup makes the pair (c, e) with
+    weight u[(c,e)], the braid carries c to c', and the cap pays
+    n[(c',e)], so the strand weighs W[c][c'] = sum_e u[(c,e)] n[(c',e)].
+    A basis of the n upward strands is an integer, strand 1 its leading
+    base-D digit.  Each start basis (b, c) is evolved alone as a sparse
+    {basis: entry} state, each letter's R or Rinv moving the two digits it
+    acts on through a column -> [(shift, entry)] map; a final basis (x, c')
+    adds its entry times prod_j W[c_j][c'_j] to result[x][b].
+    """
+    d, n = a.dim, word.strands
+    (cup_rows, _), ((cap_row,), _) = a.piece_matrix(Piece.CUP_U), a.piece_matrix(Piece.CAP_N)
+    cup = [(i, row[0][1]) for i, row in enumerate(cup_rows) if row]
+    weight: dict[tuple[int, int], Entry] = {}
+    for (i, x), (k, y) in product(cup, cap_row):
+        if i % d == k % d:
+            key = i // d, k // d
+            weight[key] = x * y if key not in weight else weight[key] + x * y
+    pieces = {1: a.piece_matrix(Piece.CROSS_POS)[0], -1: a.piece_matrix(Piece.CROSS_NEG)[0]}
+    moves = {}
+    for idx, sign in set(word.letters):
+        scale = d ** (n - 1 - idx)
+        cols = [[] for _ in range(d * d)]
+        moves[idx, sign] = scale, cols
+        for r, row in enumerate(pieces[sign]):
+            for j, x in row:
+                cols[j].append(((r - j) * scale, x))
+    rest = d ** (n - 1)
+    one = a.piece_matrix(Piece.ID_UP)[0][0][0][1]  # the empty product, on one strand
+    result: list[dict[int, Entry]] = [{} for _ in range(d)]
+    for c in range(rest):
+        closing: dict[int, Entry | None] = {}  # end c' -> prod_j W[c_j][c'_j], None for 0
+        for b in range(d):
+            state: dict[int, Entry | None] = {b * rest + c: None}  # None: the start's 1
+            for idx, sign in word.letters:
+                (scale, cols), moved = moves[idx, sign], {}
+                for basis, coef in state.items():
+                    for shift, x in cols[basis // scale % (d * d)]:
+                        key, y = basis + shift, x if coef is None else x * coef
+                        moved[key] = y if key not in moved else moved[key] + y
+                state = {key: y for key, y in moved.items() if not y.is_zero()}
+            for basis, coef in state.items():
+                top, end = divmod(basis, rest)
+                if end not in closing:
+                    ws = [weight.get((c // d ** k % d, end // d ** k % d)) for k in range(n - 1)]
+                    zero = any(w is None or w.is_zero() for w in ws)
+                    closing[end] = None if zero else reduce(mul, ws) if ws else one
+                if (w := closing[end]) is not None:
+                    y, row = w if coef is None else coef * w, result[top]
+                    row[b] = y if b not in row else row[b] + y
+    return tuple(
+        tuple(sorted((b, y) for b, y in row.items() if not y.is_zero())) for row in result
+    ), d
 
 
 def scalar_of(m: Matrix) -> RationalFn:

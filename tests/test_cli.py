@@ -14,11 +14,14 @@ from linksgould.cli import (
     MAX_LG_K,
     MAX_LG_M,
     MAX_TENSOR_DIM,
+    MAX_TENSOR_LETTERS,
     MAX_TENSOR_STRANDS,
     MAX_VERIFY_K,
     main,
 )
 from linksgould.conway import MAX_SKEIN_CROSSINGS
+from linksgould.laurent import Laurent2
+from linksgould.rational import RationalFn
 from linksgould.tensor import (
     TensorAssignment,
     braid_bracket,
@@ -28,6 +31,7 @@ from linksgould.tensor import (
     load_fixture,
     scalar_of,
 )
+from linksgould.textform import parse_rational
 from linksgould.verify import SUITES
 
 
@@ -132,6 +136,21 @@ def test_tensor_eval_strand_bound(capsys):
         capsys, "tensor", "eval", "--braid", "1", "--strands", str(MAX_TENSOR_STRANDS + 1)
     )
     assert f"bound of {MAX_TENSOR_STRANDS}" in err
+
+
+def test_tensor_eval_letter_bound(capsys):
+    # The entries grow with the letters; a random 6-strand braid of 400
+    # letters ran for half a minute before the bound.  sigma_1^k on two
+    # strands is cheap on either side of it.
+    assert MAX_TENSOR_LETTERS >= 8  # the longest braids of tensor-batch
+    k = MAX_TENSOR_LETTERS
+    code, out, _ = run(capsys, "tensor", "eval", "--braid", " ".join(["1"] * k))
+    assert code == 0
+    t = Laurent2.t
+    num = t(k) - Laurent2.const(-1) ** (k % 2) * t(-k)
+    assert parse_rational(out.strip()) == RationalFn(num, t(1) + t(-1))
+    err = run_over_bound(capsys, "tensor", "eval", "--braid", " ".join(["1"] * (k + 1)))
+    assert f"letter count {k + 1} exceeds the bound of {k}" in err
 
 
 def test_verify_bounds(capsys):
@@ -347,6 +366,7 @@ def test_tensor_eval_builtin(capsys):
     [
         (["--braid", "1 1 1"], 0, "t^2 - 1 + t^-2\n"),
         (["--braid", "1", "--strands", str(MAX_TENSOR_STRANDS + 1)], 3, ""),
+        (["--braid", " ".join(["1"] * (MAX_TENSOR_LETTERS + 1))], 3, ""),
     ],
 )
 def test_module_entry_point(argv, code, out):

@@ -240,6 +240,35 @@ def test_seven_strand_bracket_within_128_mib():
     assert parse_rational(done.stdout.strip()) == RationalFn(skein.substitute_power(1))
 
 
+_TEN_STRANDS = "1 -2 3 -4 5 -6 7 -8 9 1 2 -3"
+_BOUNDED_TEN_STRANDS = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({_AS_LIMIT}, {_AS_LIMIT}))
+from linksgould.braid import parse_braid
+from linksgould.tensor import braid_bracket, lg11_fixture, scalar_of
+word = parse_braid({_TEN_STRANDS!r}, 10)
+print(scalar_of(braid_bracket(word, lg11_fixture())).render())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_ten_strand_bracket_within_128_mib():
+    # Composing slices of width D^19 ran out of memory here after about
+    # 3 s; evolving the 2^10 basis states of the upward strands peaks near
+    # 16 MB and takes under a second.  The CLI stops at MAX_TENSOR_STRANDS,
+    # so the library is called directly.
+    src = str(Path(linksgould.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_TEN_STRANDS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "t - t^-1\n"
+    skein = conway(braid_closure(parse_braid(_TEN_STRANDS, 10)))
+    assert parse_rational(done.stdout.strip()) == RationalFn(skein.substitute_power(1))
+
+
 def test_reidemeister_rewrite_invariance():
     fx = lg11_fixture()
     rng = random.Random(52)

@@ -13,7 +13,9 @@ again; they must agree field for field (``num`` and ``den``), not merely
 in value.  ``bracket`` must likewise equal the dense composition of
 ``dense_kernel`` on braid closures and on the validator's isotopies, and
 ``_lift``, which builds each of its slices, must equal the Kronecker
-product with identities on either side.
+product with identities on either side.  ``braid_bracket``, which
+evolves basis states instead of composing slices, must equal both
+brackets of the sliced closure.
 """
 from dataclasses import replace
 
@@ -35,6 +37,7 @@ from linksgould.tensor import (  # noqa: E402
     _lift,
     _sparse,
     bracket,
+    braid_bracket,
     identity_matrix,
     kron,
     lg11_fixture,
@@ -218,9 +221,9 @@ FIELDS = ("R", "Rinv", "n", "ntilde", "u", "utilde")
 
 
 @st.composite
-def perturbed_lg11(draw):
+def perturbed_lg11(draw, names=FIELDS):
     """LG^(1,1) with one entry moved by a monomial over a non-monomial denominator."""
-    name = draw(st.sampled_from(FIELDS))
+    name = draw(st.sampled_from(names))
     rows = [list(row) for row in getattr(LG11, name)]
     i = draw(st.integers(0, len(rows) - 1))
     j = draw(st.integers(0, len(rows[0]) - 1))
@@ -233,8 +236,8 @@ two_state = st.one_of(st.just(LG11), perturbed_lg11())
 
 
 @st.composite
-def braid_words(draw):
-    n = draw(st.integers(1, 5))
+def braid_words(draw, max_strands=5):
+    n = draw(st.integers(1, max_strands))
     if n == 1:
         return BraidWord(1, ())
     letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
@@ -254,3 +257,23 @@ def test_bracket_matches_dense_on_isotopies(fixture):
     for _, lhs, rhs in _ISOTOPIES:
         for d in (lhs, rhs):
             assert fields(bracket(d, fixture)) == fields(dense_kernel.bracket(d, fixture))
+
+
+# The closing strands' weight W reads only the cup u and the cap n, and an
+# off-diagonal entry of either makes W off-diagonal.  The dense oracle
+# spans D^(2n-1) dimensions: 3^5 on three strands.
+closures = st.one_of(
+    st.tuples(braid_words(), two_state),
+    st.tuples(braid_words(), perturbed_lg11(("u", "n"))),
+    st.tuples(braid_words(max_strands=3), st.just(flip_fixture(3))),
+)
+
+
+@laws
+@given(closures)
+def test_braid_bracket_matches_sliced_closure(closure):
+    word, fixture = closure
+    d = to_sliced(word, keep_open=True)
+    got = fields(braid_bracket(word, fixture))
+    assert got == fields(bracket(d, fixture))
+    assert got == fields(dense_kernel.bracket(d, fixture))
