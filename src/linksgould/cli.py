@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .braid import parse_braid
 from .conway import conway
@@ -76,6 +77,8 @@ def _check_bound(what: str, value: int, bound: int) -> None:
         raise BudgetError(f"{what} {value} exceeds the bound of {bound}")
 
 
+# Built once per process: each build costs about 1 ms of argparse and gettext work.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linksgould",

@@ -515,11 +515,11 @@ _FIXTURE_FIELDS = ("R", "Rinv", "n", "ntilde", "u", "utilde")
 
 
 def dump_fixture(a: TensorAssignment, path: str | Path) -> None:
-    """Write an assignment as JSON with entries in the text grammar."""
+    """Write an assignment as UTF-8 JSON with entries in the text grammar."""
     doc = {"dim": a.dim}
     for name in _FIXTURE_FIELDS:
         doc[name] = [[x.render() for x in row] for row in getattr(a, name)]
-    Path(path).write_text(json.dumps(doc, indent=1))
+    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 
 def _fixture_matrix(doc: dict, name: str) -> Matrix:
@@ -535,14 +535,14 @@ def _fixture_matrix(doc: dict, name: str) -> Matrix:
 
 def load_fixture(path: str | Path) -> TensorAssignment:
     """
-    Read an assignment from JSON and re-run every validation check;
+    Read an assignment from UTF-8 JSON and re-run every validation check;
     invalid fixtures are refused, and so, with BudgetError before any
     check runs, is one whose validation width D^3 exceeds MAX_TENSOR_DIM
     or whose validation products are too large (``_check_validation_size``).
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FixtureValidationError(f"cannot read fixture: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureValidationError("fixture must be a JSON object")

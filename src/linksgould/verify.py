@@ -179,15 +179,15 @@ def _theorem_suite(suite: str, roots_of, max_m: int, max_k: int, corrupt: bool):
                 )
 
 
-def _suite_theorem1(max_m: int, max_k: int, corrupt: bool):
+def _suite_theorem1(corrupt: bool, max_m: int, max_k: int):
     return _theorem_suite("theorem1", lambda m: [1], max_m, max_k, corrupt)
 
 
-def _suite_theorem2(max_m: int, max_k: int, corrupt: bool):
+def _suite_theorem2(corrupt: bool, max_m: int, max_k: int):
     return _theorem_suite("theorem2", _valid_roots, max_m, max_k, corrupt)
 
 
-def _suite_lemma2_vanishing(max_m: int, max_k: int, corrupt: bool):
+def _suite_lemma2_vanishing(corrupt: bool, max_m: int):
     for m in range(1, max_m + 1):
         for r in _valid_roots(m):
             for i in range(m + 1):
@@ -203,7 +203,7 @@ def _suite_lemma2_vanishing(max_m: int, max_k: int, corrupt: bool):
                 yield VerificationCell("lemma2-vanishing", params, left, right, ok)
 
 
-def _suite_xi_endpoints(max_m: int, max_k: int, corrupt: bool):
+def _suite_xi_endpoints(corrupt: bool, max_m: int):
     for m in range(1, max_m + 1):
         tm = Laurent2.t(m)
         for r in _valid_roots(m):
@@ -218,7 +218,7 @@ def _suite_xi_endpoints(max_m: int, max_k: int, corrupt: bool):
             )
 
 
-def _suite_skein_coefficients(max_m: int, max_k: int, corrupt: bool):
+def _suite_skein_coefficients(corrupt: bool, max_m: int):
     for m in range(1, max_m + 1):
         for r in _valid_roots(m):
             rows = skein_coefficient_report(m, r)
@@ -240,7 +240,7 @@ def _suite_skein_coefficients(max_m: int, max_k: int, corrupt: bool):
             )
 
 
-def _suite_lg21_qminus1(max_m: int, max_k: int, corrupt: bool):
+def _suite_lg21_qminus1(corrupt: bool, max_k: int):
     for k in range(-max_k, max_k + 1):
         params = {"m": 2, "k": k, "q": -1}
         left = reduce_at_root(lg_closed_2braid(2, k), 1, 1)
@@ -250,7 +250,7 @@ def _suite_lg21_qminus1(max_m: int, max_k: int, corrupt: bool):
         )
 
 
-def _suite_tensor_oracle(max_m: int, max_k: int, corrupt: bool):
+def _suite_tensor_oracle(corrupt: bool):
     fixture = lg11_fixture()
     rng = random.Random(20240917)
     words = []
@@ -297,11 +297,11 @@ def _suite_tensor_oracle(max_m: int, max_k: int, corrupt: bool):
 SUITES = {
     "theorem1": (_suite_theorem1, {"max_m": 6, "max_k": 6}),
     "theorem2": (_suite_theorem2, {"max_m": 6, "max_k": 6}),
-    "lemma2-vanishing": (_suite_lemma2_vanishing, {"max_m": 8, "max_k": 0}),
-    "xi-endpoints": (_suite_xi_endpoints, {"max_m": 8, "max_k": 0}),
-    "skein-coefficients": (_suite_skein_coefficients, {"max_m": 8, "max_k": 0}),
-    "lg21-qminus1": (_suite_lg21_qminus1, {"max_m": 2, "max_k": 10}),
-    "tensor-oracle": (_suite_tensor_oracle, {"max_m": 1, "max_k": 8}),
+    "lemma2-vanishing": (_suite_lemma2_vanishing, {"max_m": 8}),
+    "xi-endpoints": (_suite_xi_endpoints, {"max_m": 8}),
+    "skein-coefficients": (_suite_skein_coefficients, {"max_m": 8}),
+    "lg21-qminus1": (_suite_lg21_qminus1, {"max_k": 10}),
+    "tensor-oracle": (_suite_tensor_oracle, {}),
 }
 
 
@@ -313,19 +313,27 @@ def run_suite(
 ) -> ReportDocument:
     """
     Run one suite and assemble its report.  Cells are evaluated in a
-    deterministic order; a grid with no cells raises ValueError.
+    deterministic order; a grid with no cells raises ValueError, and so
+    does an option that the suite does not read.
     ``corrupt_eigenvalues`` deliberately breaks the spectral side of the
     theorem suites; it exists so the harness itself can be tested.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     build, defaults = SUITES[name]
-    mm = defaults["max_m"] if max_m is None else max_m
-    mk = defaults["max_k"] if max_k is None else max_k
+    given = {k: v for k, v in (("max_m", max_m), ("max_k", max_k)) if v is not None}
+    unread = [k for k in given if k not in defaults]
+    if unread:
+        reads = ", ".join(defaults) or "no option"
+        raise ValueError(
+            f"suite {name!r} does not read {', '.join(unread)}; it reads {reads}"
+        )
+    params = {**defaults, **given}
     started = time.perf_counter()
-    cells = tuple(build(mm, mk, corrupt_eigenvalues))
+    cells = tuple(build(corrupt_eigenvalues, **params))
     if not cells:
-        raise ValueError(f"suite {name!r} has no cells for max_m={mm}, max_k={mk}")
+        grid = ", ".join(f"{k}={v}" for k, v in params.items())
+        raise ValueError(f"suite {name!r} has no cells for {grid}")
     return ReportDocument(
         version=__version__,
         suite=name,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import linksgould
+from linksgould import cli
 from linksgould.braid import parse_braid
 from linksgould.cli import (
     MAX_ALEXANDER_STRANDS,
@@ -36,7 +38,11 @@ from linksgould.verify import SUITES
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of main(argv), usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -155,8 +161,10 @@ def test_tensor_eval_letter_bound(capsys):
 
 def test_verify_bounds(capsys):
     assert MAX_VERIFY_K <= MAX_SKEIN_CROSSINGS
+    bounds = {"max_m": MAX_LG_M, "max_k": MAX_VERIFY_K}
     for _, defaults in SUITES.values():
-        assert defaults["max_m"] <= MAX_LG_M and defaults["max_k"] <= MAX_VERIFY_K
+        for option, value in defaults.items():
+            assert value <= bounds[option], option
     assert 8 <= min(MAX_LG_M, MAX_VERIFY_K)  # the theorem-grid benchmark
     err = run_over_bound(capsys, "verify", "theorem1", "--max-m", str(MAX_LG_M + 1))
     assert f"--max-m {MAX_LG_M + 1} exceeds the bound of {MAX_LG_M}" in err
@@ -355,6 +363,23 @@ def test_verify_empty_grid_is_usage_error(capsys):
         assert "no cells" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["tensor-oracle", "--max-k", "0"], "max_k"),
+        (["xi-endpoints", "--max-k", "3"], "max_k"),
+        (["lg21-qminus1", "--max-m", "2"], "max_m"),
+    ],
+)
+def test_verify_refuses_unread_option(capsys, argv, option):
+    # An option the suite does not read is a usage error, not silently
+    # ignored: tensor-oracle --max-k 0 used to run all its cells.
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not read {option}" in err
+
+
 def test_tensor_eval_builtin(capsys):
     code, out, _ = run(capsys, "tensor", "eval", "--braid", "1 1 1")
     assert code == 0
@@ -415,6 +440,16 @@ def test_tensor_eval_bad_fixture(capsys, tmp_path):
     assert "fixture" in err
 
 
+def test_tensor_eval_undecodable_fixture(capsys, tmp_path):
+    # A fixture that is not UTF-8 is unreadable like a missing one: exit 1.
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read fixture")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [(None, []), ("R", 5), ("R", [[1]]), ("R", [1])],
@@ -442,3 +477,42 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not-a-suite"])
     assert exc.value.code == 2
+
+
+MIXED_ARGV = [
+    ["alexander", "1 1", "--var", "s"],
+    ["alexander", "1 1 1"],
+    ["tensor", "eval", "--braid", "1 1 1"],
+    ["verify", "lg21-qminus1", "--max-k", "2", "--format", "json"],
+    ["verify", "nope"],
+    ["--version"],
+    ["lg2braid", "--m", "2", "--k", "3", "--root", "2"],
+]
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    # The first call may build the parser; no later call builds another.
+    run(capsys, "alexander", "1")
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    codes = [run(capsys, *argv)[0] for argv in MIXED_ARGV]
+    assert codes == [0, 0, 0, 0, 2, 0, 0]
+    assert built == []
+
+
+def test_cached_parser_carries_no_state(capsys, monkeypatch):
+    # One shared parser gives every argv the result a fresh parser gives:
+    # alexander "1 1 1" after --var s still prints in t, the default.
+    shared = [run(capsys, *argv) for argv in MIXED_ARGV]
+    assert shared[0][1] == "s - s^-1\n"
+    assert shared[1][1] == "t - 1 + t^-1\n"
+    assert shared[5] == (0, linksgould.__version__ + "\n", "")
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in MIXED_ARGV]
+    assert shared == fresh
