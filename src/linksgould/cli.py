@@ -50,10 +50,10 @@ __all__ = ["main"]
 # defined in tensor.py, where load_fixture refuses a fixture too wide to
 # validate before any check runs; tensor eval checks strands and letters
 # before it loads a fixture, then bounds the braid's width D^(2n-1).  On
-# LG^(1,1) an 8-letter braid takes 9-18 ms at that bound of 6 strands and
-# 0.02-0.04 s on 7; the bound stays until a wider fixture sets it.  A
-# 6-strand braid at the bound of 100 letters took 1.2-3.3 s.  The skein
-# engine's crossing bound, MAX_SKEIN_CROSSINGS, is defined in conway.py.
+# LG^(1,1) an 8-letter braid takes 5 ms at that bound of 6 strands and
+# 10-12 ms on 7; the bound stays until a wider fixture sets it.  A 6-strand
+# braid at the bound of 100 letters took 0.55-2.3 s.  The skein engine's
+# crossing bound, MAX_SKEIN_CROSSINGS, is defined in conway.py.
 MAX_ALEXANDER_STRANDS = 1000
 # lg2braid takes |--k| up to MAX_LG_K.  Its cost in |k| depends on m: at
 # m = 16 it hardly grows (|k| = 300: 2.6 s, 86 MB; 10^6: 2.5 s, 88 MB), at
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inject-xi-error",
         action="store_true",
-        help=argparse.SUPPRESS,  # test mode: corrupt the eigenvalue table
+        help=argparse.SUPPRESS,  # test mode: corrupt the theorem suites' eigenvalues
     )
 
     p = sub.add_parser("tensor", help="tensor-engine operations")

@@ -301,9 +301,21 @@ class Laurent2(_SparseLaurent):
 
     __rmul__ = __mul__
 
-    def shifted(self, dt: int, dq: int) -> Laurent2:
-        """Multiply by the monomial t^dt q^dq."""
-        return self._raw({(et + dt, eq + dq): c for (et, eq), c in self._terms.items()})
+    def shifted(self, dt: int, dq: int, factor: int = 1) -> Laurent2:
+        """
+        Multiply by the monomial factor * t^dt q^dq, which costs one pass
+        over the terms and no product of polynomials.
+
+        >>> print((Laurent2.t() - 1).shifted(-1, 2, -3))
+        -3q^2 + 3t^-1q^2
+        """
+        if factor == 1:
+            return self._raw({(et + dt, eq + dq): c for (et, eq), c in self._terms.items()})
+        if not factor:
+            return self.zero()
+        return self._raw(
+            {(et + dt, eq + dq): c * factor for (et, eq), c in self._terms.items()}
+        )
 
     def exact_div(self, other: Laurent2) -> Laurent2:
         """

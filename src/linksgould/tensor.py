@@ -17,12 +17,19 @@ times the identity, and that scalar is the link invariant of the closure.
 ``braid_bracket`` computes it without slicing: it evolves sparse basis
 states of the n upward strands through each letter's R or Rinv, which
 touches two strands only, and takes the closing strands 2..n as a
-partial trace weighted by their cup and cap.  Its cost is D^n start
-states times letters times state size, where the sliced closure is
-D^(2n-1) wide.  ``bracket`` composes any sliced diagram slice by slice;
-it checks the fixture axioms in ``validate_assignment`` and is the
-oracle that ``braid_bracket`` must equal on
-``to_sliced(word, keep_open=True)``.
+partial trace weighted by their cup and cap.  Each entry of R and Rinv
+is classified once per braid: an entry of 1 passes a coefficient
+through, a ``Laurent2`` monomial shifts it (``Laurent2.shifted``), and
+only the other entries multiply, unless the coefficient is still the 1
+that the state started from; a product of nonzero entries is never
+zero, so an entry is dropped only where a sum cancels.  The closing
+weights are tabulated once per braid, row by row from the nonzero
+entries of the closing strand's weight, and a start state whose row is
+empty is never evolved.  Its cost is D^n start states times letters
+times state size, where the sliced closure is D^(2n-1) wide.
+``bracket`` composes any sliced diagram slice by slice; it checks the
+fixture axioms in ``validate_assignment`` and is the oracle that
+``braid_bracket`` must equal on ``to_sliced(word, keep_open=True)``.
 
 Everything is exact.  Matrices are dense at the edges: fixture fields
 and the results of ``bracket`` and ``braid_bracket`` are full tuples of
@@ -44,9 +51,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import product
-from operator import mul
 from pathlib import Path
 
 from .braid import BraidWord
@@ -84,9 +90,9 @@ _ONE = RationalFn.one()
 # Input bounds; the CLI exits 3 on going over one.  With D basis states per
 # strand, ``braid_bracket`` evolves D^n start states on n strands, each
 # through every letter, and a state holds at most D^n entries.  For
-# LG^(1,1) an 8-letter braid takes 3-5 ms on 5 strands, 9-18 ms on 6,
-# 0.02-0.04 s on 7, 0.03-0.1 s on 8 and, with a 12-letter braid, 0.4-0.5 s
-# on 10 and 2-2.6 s on 12, each peaking at 16 MB (shared 2-core x86
+# LG^(1,1) an 8-letter braid takes 3-4 ms on 5 strands, 5 ms on 6,
+# 10-12 ms on 7, 0.02 s on 8 and, with a 12-letter braid, 0.23-0.25 s on
+# 10 and 0.8-1.1 s on 12, each peaking at 17 MB (shared 2-core x86
 # machine, Python 3.11.7).  Validating a fixture spans D^3 dimensions at
 # a cost of about D^6 (D = 10: 1.4 s).  Both widths are bounded by that of
 # LG^(1,1) (D = 2) at MAX_TENSOR_STRANDS, with D^(2n-1) the width of the
@@ -95,9 +101,9 @@ MAX_TENSOR_STRANDS = 6
 MAX_TENSOR_DIM = 2 ** (2 * MAX_TENSOR_STRANDS - 1)
 # The entries grow with the letters, so the cost grows faster than
 # linearly in them: on 6 strands, random LG^(1,1) braids of 100 letters
-# took 1.2-1.4 s, of 150 letters 2.1-2.8 s and of 200 letters 4.4-5.1 s;
-# the slowest braid tried, 1 -2 3 -4 5 repeated, took 3.3 s at 100
-# letters and 5.0-5.7 s at 128.
+# took 0.55-0.87 s, of 150 letters 1.2-1.6 s and of 200 letters 2.8-3.5 s;
+# the slowest braid tried, 1 -2 3 -4 5 repeated, took 1.7-2.3 s at 100
+# letters and 3.4-3.7 s at 128.
 MAX_TENSOR_LETTERS = 100
 
 
@@ -303,56 +309,112 @@ def braid_bracket(word: BraidWord, a: TensorAssignment) -> Matrix:
     return _dense(_evolve_closure(word, a))
 
 
+def _entry_class(x: Entry) -> tuple[Entry | None, tuple[int, int, int] | None]:
+    """
+    How ``_evolve_closure`` takes a coefficient times x: (None, None)
+    passes it through when x is 1, (x, (dt, dq, k)) shifts it when x is the
+    Laurent2 monomial k t^dt q^dq, and (x, None) multiplies otherwise.
+    """
+    if x.is_one():
+        return None, None
+    if isinstance(x, Laurent2) and x.is_monomial():
+        (dt, dq), k = x.leading_term()
+        return x, (dt, dq, k)
+    return x, None
+
+
+def _times(coef: Entry, x: Entry | None, mono: tuple[int, int, int] | None) -> Entry:
+    """coef times the entry that ``_entry_class`` took to (x, mono)."""
+    return coef if x is None else x * coef if mono is None else coef.shifted(*mono)
+
+
 def _evolve_closure(word: BraidWord, a: TensorAssignment) -> SparseMatrix:
     """
     Closing strand j is a partial trace: a cup makes the pair (c, e) with
     weight u[(c,e)], the braid carries c to c', and the cap pays
     n[(c',e)], so the strand weighs W[c][c'] = sum_e u[(c,e)] n[(c',e)].
     A basis of the n upward strands is an integer, strand 1 its leading
-    base-D digit.  Each start basis (b, c) is evolved alone as a sparse
-    {basis: entry} state, each letter's R or Rinv moving the two digits it
-    acts on through a column -> [(shift, entry)] map; a final basis (x, c')
-    adds its entry times prod_j W[c_j][c'_j] to result[x][b].
+    base-D digit.  The closing weights are tabulated once per braid as rows
+    table[c] = {c': prod_j W[c_j][c'_j]}, built strand by strand from W's
+    nonzero entries; ``closing_rows`` walks the digits depth first, so that
+    rows sharing their leading digits share those products and only one
+    row per open digit is held, and a c with no nonzero weight has no row
+    and starts no state.  Each start basis (b, c) is evolved alone as a
+    sparse {basis: entry} state from the fixture's one, each letter's R or
+    Rinv moving the two digits it acts on through a column ->
+    [(shift, entry, monomial)] map.  By ``_entry_class``, an entry of 1
+    passes the coefficient through, a Laurent2 monomial shifts it and any
+    other entry multiplies it; a coefficient that is still the start's 1
+    is replaced by the entry.  A final basis (x, c') adds its entry times
+    table[c][c'] to result[x][b].  A product of nonzero entries is never
+    zero, so an entry is dropped only where a sum cancels.
     """
     d, n = a.dim, word.strands
+    one = a.piece_matrix(Piece.ID_UP)[0][0][0][1]  # the empty product, on one strand
     (cup_rows, _), ((cap_row,), _) = a.piece_matrix(Piece.CUP_U), a.piece_matrix(Piece.CAP_N)
     cup = [(i, row[0][1]) for i, row in enumerate(cup_rows) if row]
-    weight: dict[tuple[int, int], Entry] = {}
+    w_rows: list[dict[int, Entry]] = [{} for _ in range(d)]
     for (i, x), (k, y) in product(cup, cap_row):
         if i % d == k % d:
-            key = i // d, k // d
-            weight[key] = x * y if key not in weight else weight[key] + x * y
+            row, j = w_rows[i // d], k // d
+            row[j] = x * y if j not in row else row[j] + x * y
+    nonzero = [
+        [(j, *_entry_class(w)) for j, w in sorted(row.items()) if not w.is_zero()]
+        for row in w_rows
+    ]
+
+    def closing_rows(k: int, c: int, ends: dict[int, Entry]):
+        # Digits k..0 of c are still open; ends holds the weights of those above.
+        if k < 0:
+            yield c, ends
+            return
+        step = d ** k
+        for i, row in enumerate(nonzero):
+            if prod := {e + j * step: _times(p, x, m) for j, x, m in row for e, p in ends.items()}:
+                yield from closing_rows(k - 1, c + i * step, prod)
+
+    rest, square = d ** (n - 1), d * d
     pieces = {1: a.piece_matrix(Piece.CROSS_POS)[0], -1: a.piece_matrix(Piece.CROSS_NEG)[0]}
     moves = {}
     for idx, sign in set(word.letters):
         scale = d ** (n - 1 - idx)
-        cols = [[] for _ in range(d * d)]
+        cols = [[] for _ in range(square)]
         moves[idx, sign] = scale, cols
         for r, row in enumerate(pieces[sign]):
             for j, x in row:
-                cols[j].append(((r - j) * scale, x))
-    rest = d ** (n - 1)
-    one = a.piece_matrix(Piece.ID_UP)[0][0][0][1]  # the empty product, on one strand
+                cols[j].append(((r - j) * scale, *_entry_class(x)))
+    steps = [moves[letter] for letter in word.letters]
     result: list[dict[int, Entry]] = [{} for _ in range(d)]
-    for c in range(rest):
-        closing: dict[int, Entry | None] = {}  # end c' -> prod_j W[c_j][c'_j], None for 0
+    for c, ends in closing_rows(n - 2, 0, {0: one}):
+        closing = {end: _entry_class(w) for end, w in ends.items()}
         for b in range(d):
-            state: dict[int, Entry | None] = {b * rest + c: None}  # None: the start's 1
-            for idx, sign in word.letters:
-                (scale, cols), moved = moves[idx, sign], {}
+            state = {b * rest + c: one}
+            for scale, cols in steps:
+                moved = {}
                 for basis, coef in state.items():
-                    for shift, x in cols[basis // scale % (d * d)]:
-                        key, y = basis + shift, x if coef is None else x * coef
-                        moved[key] = y if key not in moved else moved[key] + y
-                state = {key: y for key, y in moved.items() if not y.is_zero()}
+                    for shift, x, mono in cols[basis // scale % square]:
+                        key = basis + shift
+                        # _times(coef, x, mono), inline, and free for the coefficient 1
+                        # that every state starts from and that entries of 1 pass on
+                        if x is None:
+                            y = coef
+                        elif coef is one:
+                            y = x
+                        elif mono is None:
+                            y = x * coef
+                        else:
+                            y = coef.shifted(*mono)
+                        if (s := moved.get(key)) is None:
+                            moved[key] = y
+                        elif (s := s + y).is_zero():
+                            del moved[key]
+                        else:
+                            moved[key] = s
+                state = moved
             for basis, coef in state.items():
                 top, end = divmod(basis, rest)
-                if end not in closing:
-                    ws = [weight.get((c // d ** k % d, end // d ** k % d)) for k in range(n - 1)]
-                    zero = any(w is None or w.is_zero() for w in ws)
-                    closing[end] = None if zero else reduce(mul, ws) if ws else one
-                if (w := closing[end]) is not None:
-                    y, row = w if coef is None else coef * w, result[top]
+                if (weight := closing.get(end)) is not None:
+                    y, row = _times(coef, *weight), result[top]
                     row[b] = y if b not in row else row[b] + y
     return tuple(
         tuple(sorted((b, y) for b, y in row.items() if not y.is_zero())) for row in result

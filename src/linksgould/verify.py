@@ -179,15 +179,15 @@ def _theorem_suite(suite: str, roots_of, max_m: int, max_k: int, corrupt: bool):
                 )
 
 
-def _suite_theorem1(corrupt: bool, max_m: int, max_k: int):
+def _suite_theorem1(max_m: int, max_k: int, corrupt: bool = False):
     return _theorem_suite("theorem1", lambda m: [1], max_m, max_k, corrupt)
 
 
-def _suite_theorem2(corrupt: bool, max_m: int, max_k: int):
+def _suite_theorem2(max_m: int, max_k: int, corrupt: bool = False):
     return _theorem_suite("theorem2", _valid_roots, max_m, max_k, corrupt)
 
 
-def _suite_lemma2_vanishing(corrupt: bool, max_m: int):
+def _suite_lemma2_vanishing(max_m: int):
     for m in range(1, max_m + 1):
         for r in _valid_roots(m):
             for i in range(m + 1):
@@ -203,7 +203,7 @@ def _suite_lemma2_vanishing(corrupt: bool, max_m: int):
                 yield VerificationCell("lemma2-vanishing", params, left, right, ok)
 
 
-def _suite_xi_endpoints(corrupt: bool, max_m: int):
+def _suite_xi_endpoints(max_m: int):
     for m in range(1, max_m + 1):
         tm = Laurent2.t(m)
         for r in _valid_roots(m):
@@ -218,7 +218,7 @@ def _suite_xi_endpoints(corrupt: bool, max_m: int):
             )
 
 
-def _suite_skein_coefficients(corrupt: bool, max_m: int):
+def _suite_skein_coefficients(max_m: int):
     for m in range(1, max_m + 1):
         for r in _valid_roots(m):
             rows = skein_coefficient_report(m, r)
@@ -240,7 +240,7 @@ def _suite_skein_coefficients(corrupt: bool, max_m: int):
             )
 
 
-def _suite_lg21_qminus1(corrupt: bool, max_k: int):
+def _suite_lg21_qminus1(max_k: int):
     for k in range(-max_k, max_k + 1):
         params = {"m": 2, "k": k, "q": -1}
         left = reduce_at_root(lg_closed_2braid(2, k), 1, 1)
@@ -250,7 +250,7 @@ def _suite_lg21_qminus1(corrupt: bool, max_k: int):
         )
 
 
-def _suite_tensor_oracle(corrupt: bool):
+def _suite_tensor_oracle():
     fixture = lg11_fixture()
     rng = random.Random(20240917)
     words = []
@@ -303,6 +303,9 @@ SUITES = {
     "lg21-qminus1": (_suite_lg21_qminus1, {"max_k": 10}),
     "tensor-oracle": (_suite_tensor_oracle, {}),
 }
+# The suites whose generators take ``corrupt``: only the theorem suites
+# have a spectral side to corrupt.
+_CORRUPTIBLE = frozenset({"theorem1", "theorem2"})
 
 
 def run_suite(
@@ -316,13 +319,16 @@ def run_suite(
     deterministic order; a grid with no cells raises ValueError, and so
     does an option that the suite does not read.
     ``corrupt_eigenvalues`` deliberately breaks the spectral side of the
-    theorem suites; it exists so the harness itself can be tested.
+    theorem suites; it exists so the harness itself can be tested, and
+    every other suite refuses it.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     build, defaults = SUITES[name]
     given = {k: v for k, v in (("max_m", max_m), ("max_k", max_k)) if v is not None}
     unread = [k for k in given if k not in defaults]
+    if corrupt_eigenvalues and name not in _CORRUPTIBLE:
+        unread.append("corrupt_eigenvalues")
     if unread:
         reads = ", ".join(defaults) or "no option"
         raise ValueError(
@@ -330,7 +336,8 @@ def run_suite(
         )
     params = {**defaults, **given}
     started = time.perf_counter()
-    cells = tuple(build(corrupt_eigenvalues, **params))
+    corrupt = {"corrupt": True} if corrupt_eigenvalues else {}
+    cells = tuple(build(**params, **corrupt))
     if not cells:
         grid = ", ".join(f"{k}={v}" for k, v in params.items())
         raise ValueError(f"suite {name!r} has no cells for {grid}")

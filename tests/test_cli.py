@@ -380,6 +380,21 @@ def test_verify_refuses_unread_option(capsys, argv, option):
     assert f"does not read {option}" in err
 
 
+@pytest.mark.parametrize(
+    "suite", sorted(set(SUITES) - {"theorem1", "theorem2"})
+)
+def test_verify_refuses_unread_corruption(capsys, suite):
+    # Only the theorem suites have a spectral side to corrupt: xi-endpoints
+    # --max-m 2 --inject-xi-error used to print "4/4 cells pass" and exit 0.
+    argv = ["--max-m", "2"] if "max_m" in SUITES[suite][1] else []
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, *argv, "--inject-xi-error")
+    assert time.perf_counter() - started < 0.5
+    assert code == 2
+    assert out == ""
+    assert "does not read corrupt_eigenvalues" in err
+
+
 def test_tensor_eval_builtin(capsys):
     code, out, _ = run(capsys, "tensor", "eval", "--braid", "1 1 1")
     assert code == 0

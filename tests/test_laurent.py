@@ -54,6 +54,16 @@ def test_zero_coefficients_never_stored():
     assert len(p) == 1
 
 
+def test_shifted_is_product_with_scaled_monomial():
+    rng = random.Random(7)
+    for _ in range(20):
+        p = random_laurent(rng)
+        for factor in (-3, -1, 0, 1, 2):
+            got = p.shifted(2, -1, factor)
+            assert got == p * Laurent2.term(factor, 2, -1)
+            assert 0 not in dict(got.terms()).values()
+
+
 def test_pow_and_monomial_inverse():
     assert (t(1) + 1) ** 0 == Laurent2.one()
     assert t(2).monomial_inverse() == t(-2)

@@ -3,8 +3,10 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import dense_kernel
 import pytest
 
 import linksgould
@@ -18,6 +20,7 @@ from linksgould.sliced import Piece, SlicedDiagram, to_sliced
 from linksgould.tensor import (
     _ISOTOPIES,
     TensorAssignment,
+    _entry_class,
     bracket,
     braid_bracket,
     dump_fixture,
@@ -55,12 +58,8 @@ def test_lg11_fixture_built_once():
     assert lg11_fixture() is lg11_fixture()
 
 
-def test_bracket_forms_no_identity_products(monkeypatch):
-    # Each slice is id (x) P (x) id built by index arithmetic, so the only
-    # Laurent2 products are mat_mul's: 2 180 here, against 48 404 when every
-    # entry of a slice was a product with an identity's 1.
-    fx = lg11_fixture()
-    word = parse_braid("1 -2 3 -4 5 1 2 -3", 6)
+def counted_products(monkeypatch):
+    """A list that gains one item per Laurent2 product formed from now on."""
     mul, calls = Laurent2.__mul__, []
 
     def counted(a, b):
@@ -68,8 +67,120 @@ def test_bracket_forms_no_identity_products(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(Laurent2, "__mul__", counted)
-    assert scalar_of(braid_bracket(word, fx)) == RationalFn(t(1) - t(-1))
+    return calls
+
+
+_SIX_STRANDS = "1 -2 3 -4 5 1 2 -3"
+
+
+def test_bracket_forms_no_identity_products(monkeypatch):
+    # Each slice is id (x) P (x) id built by index arithmetic, so the only
+    # Laurent2 products are mat_mul's: 2 180 here, against 48 404 when every
+    # entry of a slice was a product with an identity's 1.
+    fx = lg11_fixture()
+    sliced = to_sliced(parse_braid(_SIX_STRANDS, 6), keep_open=True)
+    calls = counted_products(monkeypatch)
+    assert scalar_of(bracket(sliced, fx)) == RationalFn(t(1) - t(-1))
     assert len(calls) <= 5000
+
+
+def test_braid_bracket_moves_units_and_monomials_without_products(monkeypatch):
+    # An entry of 1 passes a coefficient through and a monomial shifts it,
+    # and the closing weights are tabulated once per braid: 331 products
+    # here, against 1 735 when every entry and closing weight multiplied.
+    fx = lg11_fixture()
+    word = parse_braid(_SIX_STRANDS, 6)
+    calls = counted_products(monkeypatch)
+    assert scalar_of(braid_bracket(word, fx)) == RationalFn(t(1) - t(-1))
+    assert len(calls) <= 500
+
+
+def with_entries(fx, **changes):
+    """fx with some entries replaced: name=((row, column, entry), ...)."""
+    fields = {}
+    for name, entries in changes.items():
+        rows = [list(row) for row in getattr(fx, name)]
+        for i, j, x in entries:
+            rows[i][j] = RationalFn._coerce(x)
+        fields[name] = tuple(map(tuple, rows))
+    return replace(fx, **fields)
+
+
+def closing_weight(fx):
+    """W[c][c'] = sum_e u[(c,e)] n[(c',e)] from the dense fields."""
+    d = fx.dim
+    return [
+        [sum((fx.u[c * d + e][0] * fx.n[0][k * d + e] for e in range(d)), ZERO) for k in range(d)]
+        for c in range(d)
+    ]
+
+
+def entry_kind(x):
+    x, mono = _entry_class(x)
+    if x is None:
+        return "unit"
+    if mono is None:
+        return "rational" if type(x) is RationalFn else "general"
+    return "monomial" if mono[2] in (1, -1) else "scaled monomial"
+
+
+_LG11 = lg11_fixture()
+_Q = Laurent2.q
+# Each fixture is compared with the sliced closure, so it need not pass
+# validation.  Together their R and Rinv hold every entry class, and one
+# W has a row that cancels to zero, so that no state starts from its c.
+_CLASS_FIXTURES = {
+    "lg11": _LG11,
+    "scaled": with_entries(
+        _LG11,
+        R=((0, 0, Laurent2.term(2, -1)), (3, 3, Laurent2.term(-3, 1, 1))),
+        Rinv=((0, 0, Laurent2.term(-2, 0, -1)),),
+    ),
+    "rational": with_entries(
+        _LG11,
+        R=((1, 1, RationalFn(t(1) - t(-1), t(1) + _Q(1))),),
+        n=((0, 3, RationalFn(Laurent2.one(), t(1) + 2)),),
+    ),
+    "zero W row": with_entries(
+        _LG11,
+        u=((2, 0, 1), (3, 0, -1)),
+        n=((0, 1, 1), (0, 2, 1)),
+    ),
+}
+_CLASS_WORDS = [
+    ("1 -1 2 -2", 3),  # sums cancel, down to the value 0 of a split link
+    ("1 -1 2 -2 1 -2", 3),  # sums cancel on the way to the unknot's 1
+    ("1 -2 1 -2", 3),
+    ("2 -1 -1 3 2 -3", 4),
+]
+
+
+def test_fixtures_cover_every_entry_class():
+    kinds = {
+        entry_kind(x)
+        for fx in _CLASS_FIXTURES.values()
+        for piece in (Piece.CROSS_POS, Piece.CROSS_NEG)
+        for row in fx.piece_matrix(piece)[0]
+        for _, x in row
+    }
+    assert kinds == {"unit", "monomial", "scaled monomial", "general", "rational"}
+    w = closing_weight(_CLASS_FIXTURES["zero W row"])
+    assert all(x.is_zero() for x in w[1]) and all(not x.is_zero() for x in w[0])
+
+
+def dense_fields(m):
+    return [[(x.num, x.den) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_FIXTURES))
+@pytest.mark.parametrize("braid, strands", _CLASS_WORDS)
+def test_braid_bracket_entry_classes_match_sliced_closure(name, braid, strands):
+    fx = _CLASS_FIXTURES[name]
+    word = parse_braid(braid, strands)
+    d = to_sliced(word, keep_open=True)
+    got = dense_fields(braid_bracket(word, fx))
+    assert got == dense_fields(bracket(d, fx))
+    assert got == dense_fields(dense_kernel.bracket(d, fx))
 
 
 def test_trivial_dimension_one_assignment():
