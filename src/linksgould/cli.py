@@ -145,9 +145,6 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_lg2braid(args) -> int:
-    if args.m < 1:
-        print("error: --m must be a positive integer", file=sys.stderr)
-        return 2
     _check_bound("--m", args.m, MAX_LG_M)
     _check_bound("|--k|", abs(args.k), MAX_LG_K)
     value = lg_closed_2braid(args.m, args.k)

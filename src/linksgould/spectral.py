@@ -43,9 +43,13 @@ MAX_LG_M = 16
 _CACHED_PAIRS = sum(m + 1 for m in range(1, MAX_LG_M + 1))
 
 
-def _check_index(m: int, i: int) -> None:
+def _check_m(m: int) -> None:
     if m < 1:
         raise ValueError("m must be a positive integer")
+
+
+def _check_index(m: int, i: int) -> None:
+    _check_m(m)
     if not 0 <= i <= m:
         raise IndexError(f"projector index {i} out of range 0..{m}")
 
@@ -138,6 +142,7 @@ def quantum_trace(m: int, coefficients) -> RationalFn:
     >>> quantum_trace(2, [Laurent2.one()] * 3)
     RationalFn('0')
     """
+    _check_m(m)
     if len(coefficients) != m + 1:
         raise ValueError(f"need {m + 1} coefficients, got {len(coefficients)}")
     all_ws = sorted({w for i in range(m + 1) for w in _trace_parts(m, i)[1]})
@@ -184,6 +189,7 @@ def skein_coefficient_report(m: int, r: int = 1) -> tuple[SkeinCoefficient, ...]
     m >= 2, some raw coefficient with 0 < i < m is nonzero (the braiding
     itself satisfies no order-two identity there).
     """
+    _check_m(m)
     tm = Laurent2.t(m) - Laurent2.t(-m)
     rows = []
     for i in range(m + 1):

@@ -14,38 +14,39 @@ strand (first move), and the four zigzags straighten (planar isotopy):
 
 The bracket of a braid closure sliced as a (1,1)-tangle is a scalar
 times the identity, and that scalar is the link invariant of the closure.
-``braid_bracket`` computes it without slicing: it evolves sparse basis
-states of the n upward strands through each letter's R or Rinv, which
-touches two strands only, and takes the closing strands 2..n as a
-partial trace weighted by their cup and cap.  Each entry of R and Rinv
-is classified once per braid: an entry of 1 passes a coefficient
-through, a ``Laurent2`` monomial shifts it (``Laurent2.shifted``), and
-only the other entries multiply, unless the coefficient is still the 1
-that the state started from; a product of nonzero entries is never
-zero, so an entry is dropped only where a sum cancels.  The closing
-weights are tabulated once per braid, row by row from the nonzero
-entries of the closing strand's weight, and a start state whose row is
-empty is never evolved.  Its cost is D^n start states times letters
-times state size, where the sliced closure is D^(2n-1) wide.
-``bracket`` composes any sliced diagram slice by slice; it checks the
-fixture axioms in ``validate_assignment`` and is the oracle that
-``braid_bracket`` must equal on ``to_sliced(word, keep_open=True)``.
+
+Both evaluators move sparse {basis: entry} states through one piece at a
+time with one kernel, ``_apply``: a basis is an integer whose base-D
+digits are the strands, and a piece P with k strands to its right takes
+the digits (hi, j, lo), lo the last k, to (hi, r, lo) for each entry
+P[r][j].  An entry of 1 passes the coefficient through, a ``Laurent2``
+monomial shifts it (``Laurent2.shifted``), and only the other entries
+multiply, unless the coefficient is still the 1 that the state started
+from; a product of nonzero entries is never zero, so an entry is dropped
+only where a sum cancels.  Each piece's entries, and the nonzero entries
+of the closing weight below, are classified once per fixture.
+
+``bracket`` evaluates any sliced diagram by evolving each bottom basis
+through each row's active piece; it checks the fixture axioms in
+``validate_assignment`` and is the oracle that ``braid_bracket`` must
+equal on ``to_sliced(word, keep_open=True)``.  ``braid_bracket`` computes
+the closure without slicing: it evolves basis states of the n upward
+strands through each letter's R or Rinv, which touches two strands only,
+and takes the closing strands 2..n as a partial trace weighted by their
+cup and cap.  The closing weights are formed once per braid, and a start
+state whose weight row is empty is never evolved.  Its cost is D^n start
+states times letters times state size, where the sliced closure is
+D^(2n-1) wide.
 
 Everything is exact.  Matrices are dense at the edges: fixture fields
 and the results of ``bracket`` and ``braid_bracket`` are full tuples of
-``RationalFn`` rows.  Inside ``bracket`` each slice's matrix is sparse,
-its rows holding only their nonzero entries, so a slice costs its
-nonzero entries rather than the square of its width.  A slice is
-id (x) P (x) id for its one active piece P, and ``_lift`` builds it by
-index arithmetic, reusing P's entries, so the only products ``bracket``
-forms are those of ``mat_mul`` composing the slices.  When every fixture
-entry is a Laurent polynomial, as for LG^(1,1), both routes compute with
-the ``Laurent2`` numerators, which multiply and add without
-``RationalFn``'s wrapper; otherwise with ``RationalFn``.  Validation
-spans D^3 dimensions and costs about D^6, so ``load_fixture`` refuses a
-fixture with D^3 > ``MAX_TENSOR_DIM`` before any check runs, and likewise
-one whose entries' products, as validation forms them, could outgrow the
-text grammar's expression bound.
+``RationalFn`` rows.  When every fixture entry is a Laurent polynomial,
+as for LG^(1,1), the states hold ``Laurent2`` numerators, which multiply
+and add without ``RationalFn``'s wrapper; otherwise ``RationalFn``.
+Validation spans D^3 dimensions and costs about D^6, so ``load_fixture``
+refuses a fixture with D^3 > ``MAX_TENSOR_DIM`` before any check runs,
+and likewise one whose entries' products, as validation forms them,
+could outgrow the text grammar's expression bound.
 """
 from __future__ import annotations
 
@@ -117,12 +118,19 @@ def identity_matrix(n: int) -> Matrix:
     )
 
 
-# Inside ``bracket`` a matrix is sparse: a tuple of rows, each the
-# (column, entry) pairs of its nonzero entries in increasing column, and
-# the column count.  Its entries are ``Laurent2`` numerators when every
-# entry of the assignment has denominator 1, and ``RationalFn`` otherwise.
+# A fixture's pieces are held sparse: a tuple of rows, each the (column,
+# entry) pairs of its nonzero entries in increasing column, and the column
+# count.  Its entries are ``Laurent2`` numerators when every entry of the
+# assignment has denominator 1, and ``RationalFn`` otherwise.  A State is a
+# sparse {basis: entry} map.  A Move is an entry P[r][j] filed under its
+# column j as (r - j, *_entry_class(P[r][j])).  A Step is a piece P as
+# ``_apply`` takes it: (D^k for the k strands to its right, P's column
+# count, its row count less its column count, its Moves).
 Entry = RationalFn | Laurent2
 SparseMatrix = tuple[tuple[tuple[tuple[int, Entry], ...], ...], int]
+State = dict[int, Entry]
+Move = tuple[int, Entry | None, tuple[int, int, int] | None]
+Step = tuple[int, int, int, list[list[Move]]]
 
 
 def _sparse(m: Matrix, polynomial: bool = False) -> SparseMatrix:
@@ -133,18 +141,19 @@ def _sparse(m: Matrix, polynomial: bool = False) -> SparseMatrix:
     return rows, len(m[0])
 
 
-def _dense(m: SparseMatrix) -> Matrix:
-    rows, cols = m
+def _dense(rows: list[State], cols: int) -> Matrix:
     out = []
     for row in rows:
         dense = [_ZERO] * cols
-        for j, x in row:
+        for j, x in row.items():
             dense[j] = RationalFn._coerce(x)
         out.append(tuple(dense))
     return tuple(out)
 
 
-# mat_mul keeps a plain name: the benchmark's tracer wraps it by name.
+# Neither mat_mul nor kron has a library caller: both evaluators move sparse
+# states through ``_apply``.  They stay because the benchmark's tracer binds
+# them by name, and the kernel tests use them as oracles.
 def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     a_rows, a_cols = a
     b_rows, b_cols = b
@@ -165,9 +174,6 @@ def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return tuple(out), b_cols
 
 
-# The general Kronecker product.  ``bracket`` builds its slices with
-# ``_lift`` instead; kron stays because the benchmark's tracer binds it by
-# name, and the kernel tests use it as the oracle that ``_lift`` must equal.
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     a_rows, a_cols = a
     b_rows, b_cols = b
@@ -176,22 +182,6 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         for ra in a_rows
         for rb in b_rows
     ), a_cols * b_cols
-
-
-def _lift(p: SparseMatrix, left: int, right: int) -> SparseMatrix:
-    """
-    id_left (x) p (x) id_right by index arithmetic alone: row (l, r, s) is
-    p's row r with column j moved to (l*cols_p + j)*right + s, and every
-    entry is p's own object, so no entry is multiplied.
-    """
-    p_rows, p_cols = p
-    width = p_cols * right
-    rows = []
-    for base in range(0, left * width, width):
-        for row in p_rows:
-            shifted = [(base + j * right, x) for j, x in row]
-            rows.extend(tuple((c + s, x) for c, x in shifted) for s in range(right))
-    return tuple(rows), left * width
 
 
 def _first_mismatch(a: Matrix, b: Matrix) -> tuple[int, int] | None:
@@ -218,20 +208,12 @@ class TensorAssignment:
         d = self.dim
         if d < 1:
             raise ValueError("dimension must be positive")
-        shapes = {
-            "R": (d * d, d * d),
-            "Rinv": (d * d, d * d),
-            "n": (1, d * d),
-            "ntilde": (1, d * d),
-            "u": (d * d, 1),
-            "utilde": (d * d, 1),
-        }
+        square, cap, cup = (d * d, d * d), (1, d * d), (d * d, 1)
+        shapes = {"R": square, "Rinv": square, "n": cap, "ntilde": cap, "u": cup, "utilde": cup}
         for name, (rows, cols) in shapes.items():
             m = getattr(self, name)
             if len(m) != rows or any(len(r) != cols for r in m):
-                raise ValueError(
-                    f"{name} must be {rows}x{cols} for dim {d}"
-                )
+                raise ValueError(f"{name} must be {rows}x{cols} for dim {d}")
 
     def piece_matrix(self, piece: Piece) -> SparseMatrix:
         return self._pieces[piece]
@@ -252,6 +234,39 @@ class TensorAssignment:
         return {
             p: identity if p.is_identity else _sparse(fields[p], polynomial) for p in Piece
         }
+
+    @cached_property
+    def _columns(self) -> dict[Piece, tuple[int, int, list[list[Move]]]]:
+        """Each piece as the last three fields of its Step, column j listing its entries' Moves."""
+        out = {}
+        for p, (rows, width) in self._pieces.items():
+            cols = [[] for _ in range(width)]
+            for r, row in enumerate(rows):
+                for j, x in row:
+                    cols[j].append((r - j, *_entry_class(x)))
+            out[p] = width, len(rows) - width, cols
+        return out
+
+    @cached_property
+    def _closing(self) -> list[list[Move]]:
+        """W[c][c'] = sum_e u[(c,e)] n[(c',e)]; row c holds its nonzero entries as Moves."""
+        d = self.dim
+        (cup_rows, _), ((cap_row,), _) = self._pieces[Piece.CUP_U], self._pieces[Piece.CAP_N]
+        cup = [(i, row[0][1]) for i, row in enumerate(cup_rows) if row]
+        w_rows: list[dict[int, Entry]] = [{} for _ in range(d)]
+        for (i, x), (k, y) in product(cup, cap_row):
+            if i % d == k % d:
+                row, j = w_rows[i // d], k // d
+                row[j] = x * y if j not in row else row[j] + x * y
+        return [
+            [(j, *_entry_class(w)) for j, w in sorted(row.items()) if not w.is_zero()]
+            for row in w_rows
+        ]
+
+    @property
+    def _one(self) -> Entry:
+        """The 1 that every state starts from, as the pieces hold it."""
+        return self._pieces[Piece.ID_UP][0][0][0][1]
 
 
 @dataclass(frozen=True)
@@ -284,19 +299,25 @@ def bracket(d: SlicedDiagram, a: TensorAssignment) -> Matrix:
     """
     Evaluate a sliced diagram bottom-to-top as a matrix over exact
     scalars, mapping D^len(bottom) to D^len(top) dimensions.  The empty
-    diagram is the scalar 1.
+    diagram is the scalar 1.  Column b is the state that starts as the
+    bottom basis b and passes through each row's active piece.
     """
     d.validate()
-    if not d.rows:
-        return _mat([[1]])
-    total: SparseMatrix | None = None
+    one, steps = a._one, []
     for row in d.rows:
         # A row is id^k (x) P (x) id^(len-1-k) for its one active piece P,
-        # or the identity piece lifted by D^(len-1) when it has none.
+        # or the identity piece with D^(len-1) to its right when it has none.
         k = next((i for i, piece in enumerate(row) if not piece.is_identity), 0)
-        m = _lift(a.piece_matrix(row[k]), a.dim ** k, a.dim ** (len(row) - 1 - k))
-        total = m if total is None else mat_mul(m, total)
-    return _dense(total)
+        steps.append((a.dim ** (len(row) - 1 - k), *a._columns[row[k]]))
+    width = a.dim ** len(d.bottom())
+    result: list[State] = [{} for _ in range(a.dim ** len(d.top()))]
+    for b in range(width):
+        state = {b: one}
+        for step in steps:
+            state = _apply(state, step, one)
+        for basis, coef in state.items():
+            result[basis][b] = coef
+    return _dense(result, width)
 
 
 def braid_bracket(word: BraidWord, a: TensorAssignment) -> Matrix:
@@ -304,16 +325,16 @@ def braid_bracket(word: BraidWord, a: TensorAssignment) -> Matrix:
     Bracket of the braid closure as a (1,1)-tangle: the first strand runs
     through and strands 2..n close to the right.  It equals
     ``bracket(to_sliced(word, keep_open=True), a)`` entry for entry, but
-    evolves sparse basis states rather than composing D^(2n-1)-wide slices.
+    evolves the n upward strands only, rather than the D^(2n-1)-wide slices.
     """
-    return _dense(_evolve_closure(word, a))
+    return _dense(_evolve_closure(word, a), a.dim)
 
 
 def _entry_class(x: Entry) -> tuple[Entry | None, tuple[int, int, int] | None]:
     """
-    How ``_evolve_closure`` takes a coefficient times x: (None, None)
-    passes it through when x is 1, (x, (dt, dq, k)) shifts it when x is the
-    Laurent2 monomial k t^dt q^dq, and (x, None) multiplies otherwise.
+    How ``_apply`` takes a coefficient times x: (None, None) passes it
+    through when x is 1, (x, (dt, dq, k)) shifts it when x is the Laurent2
+    monomial k t^dt q^dq, and (x, None) multiplies otherwise.
     """
     if x.is_one():
         return None, None
@@ -328,97 +349,79 @@ def _times(coef: Entry, x: Entry | None, mono: tuple[int, int, int] | None) -> E
     return coef if x is None else x * coef if mono is None else coef.shifted(*mono)
 
 
-def _evolve_closure(word: BraidWord, a: TensorAssignment) -> SparseMatrix:
+def _apply(state: State, step: Step, one: Entry) -> State:
+    """
+    Move a sparse {basis: entry} state through one piece P.  The base-D
+    digits (hi, j, lo) of a basis, j the piece's input and lo the strands
+    to its right, go to (hi, r, lo) for each entry P[r][j]; where a cap or
+    cup changes the width from D^in to D^out, the basis moves by a further
+    hi * (D^out - D^in) * right.  By ``_entry_class``, an entry of 1 passes
+    the coefficient through, a Laurent2 monomial shifts it and any other
+    entry multiplies it; a coefficient that is still the start's one is
+    replaced by the entry.  A product of nonzero entries is never zero, so
+    an entry is dropped only where a sum cancels.
+    """
+    right, width, grow, cols = step
+    grow *= right
+    moved: State = {}
+    for basis, coef in state.items():
+        upper = basis // right  # the digits (hi, j)
+        base = basis + upper // width * grow
+        for shift, x, mono in cols[upper % width]:
+            key = base + shift * right
+            # _times(coef, x, mono), inline, and free for the start's one
+            y = coef if x is None else x if coef is one else (
+                x * coef if mono is None else coef.shifted(*mono))
+            if (s := moved.get(key)) is None:
+                moved[key] = y
+            elif (s := s + y).is_zero():
+                del moved[key]
+            else:
+                moved[key] = s
+    return moved
+
+
+def _evolve_closure(word: BraidWord, a: TensorAssignment) -> list[State]:
     """
     Closing strand j is a partial trace: a cup makes the pair (c, e) with
     weight u[(c,e)], the braid carries c to c', and the cap pays
     n[(c',e)], so the strand weighs W[c][c'] = sum_e u[(c,e)] n[(c',e)].
     A basis of the n upward strands is an integer, strand 1 its leading
-    base-D digit.  The closing weights are tabulated once per braid as rows
-    table[c] = {c': prod_j W[c_j][c'_j]}, built strand by strand from W's
-    nonzero entries; ``closing_rows`` walks the digits depth first, so that
-    rows sharing their leading digits share those products and only one
-    row per open digit is held, and a c with no nonzero weight has no row
-    and starts no state.  Each start basis (b, c) is evolved alone as a
-    sparse {basis: entry} state from the fixture's one, each letter's R or
-    Rinv moving the two digits it acts on through a column ->
-    [(shift, entry, monomial)] map.  By ``_entry_class``, an entry of 1
-    passes the coefficient through, a Laurent2 monomial shifts it and any
-    other entry multiplies it; a coefficient that is still the start's 1
-    is replaced by the entry.  A final basis (x, c') adds its entry times
-    table[c][c'] to result[x][b].  A product of nonzero entries is never
-    zero, so an entry is dropped only where a sum cancels.
+    base-D digit.  The closing weights are rows
+    table[c] = {c': prod_j W[c_j][c'_j]}, each formed once per braid, digit
+    by digit from the nonzero entries of W that the fixture classifies
+    once.  The table is a chain of generators, one per closing strand, so
+    that rows sharing their leading digits share those products and only
+    one row per digit is held; a c with no nonzero weight has no row and
+    starts no state.  Each start basis (b, c) is evolved alone from the
+    fixture's one through each letter's R or Rinv by ``_apply``, and a
+    final basis (x, c') adds its entry times table[c][c'] to result[x][b].
     """
-    d, n = a.dim, word.strands
-    one = a.piece_matrix(Piece.ID_UP)[0][0][0][1]  # the empty product, on one strand
-    (cup_rows, _), ((cap_row,), _) = a.piece_matrix(Piece.CUP_U), a.piece_matrix(Piece.CAP_N)
-    cup = [(i, row[0][1]) for i, row in enumerate(cup_rows) if row]
-    w_rows: list[dict[int, Entry]] = [{} for _ in range(d)]
-    for (i, x), (k, y) in product(cup, cap_row):
-        if i % d == k % d:
-            row, j = w_rows[i // d], k // d
-            row[j] = x * y if j not in row else row[j] + x * y
-    nonzero = [
-        [(j, *_entry_class(w)) for j, w in sorted(row.items()) if not w.is_zero()]
-        for row in w_rows
-    ]
-
-    def closing_rows(k: int, c: int, ends: dict[int, Entry]):
-        # Digits k..0 of c are still open; ends holds the weights of those above.
-        if k < 0:
-            yield c, ends
-            return
-        step = d ** k
-        for i, row in enumerate(nonzero):
-            if prod := {e + j * step: _times(p, x, m) for j, x, m in row for e, p in ends.items()}:
-                yield from closing_rows(k - 1, c + i * step, prod)
-
-    rest, square = d ** (n - 1), d * d
-    pieces = {1: a.piece_matrix(Piece.CROSS_POS)[0], -1: a.piece_matrix(Piece.CROSS_NEG)[0]}
-    moves = {}
-    for idx, sign in set(word.letters):
-        scale = d ** (n - 1 - idx)
-        cols = [[] for _ in range(square)]
-        moves[idx, sign] = scale, cols
-        for r, row in enumerate(pieces[sign]):
-            for j, x in row:
-                cols[j].append(((r - j) * scale, *_entry_class(x)))
+    d, n, one = a.dim, word.strands, a._one
+    table = iter([(0, {0: one})])
+    for _ in range(n - 1):
+        table = (
+            (c * d + i, {e * d + j: _times(p, x, m) for e, p in ends.items() for j, x, m in row})
+            for c, ends in table
+            for i, row in enumerate(a._closing)
+            if row
+        )
+    rest, pieces = d ** (n - 1), {1: Piece.CROSS_POS, -1: Piece.CROSS_NEG}
+    moves = {(i, s): (d ** (n - 1 - i), *a._columns[pieces[s]]) for i, s in set(word.letters)}
     steps = [moves[letter] for letter in word.letters]
-    result: list[dict[int, Entry]] = [{} for _ in range(d)]
-    for c, ends in closing_rows(n - 2, 0, {0: one}):
+    result: list[State] = [{} for _ in range(d)]
+    for c, ends in table:
         closing = {end: _entry_class(w) for end, w in ends.items()}
         for b in range(d):
             state = {b * rest + c: one}
-            for scale, cols in steps:
-                moved = {}
-                for basis, coef in state.items():
-                    for shift, x, mono in cols[basis // scale % square]:
-                        key = basis + shift
-                        # _times(coef, x, mono), inline, and free for the coefficient 1
-                        # that every state starts from and that entries of 1 pass on
-                        if x is None:
-                            y = coef
-                        elif coef is one:
-                            y = x
-                        elif mono is None:
-                            y = x * coef
-                        else:
-                            y = coef.shifted(*mono)
-                        if (s := moved.get(key)) is None:
-                            moved[key] = y
-                        elif (s := s + y).is_zero():
-                            del moved[key]
-                        else:
-                            moved[key] = s
-                state = moved
+            for step in steps:
+                state = _apply(state, step, one)
             for basis, coef in state.items():
                 top, end = divmod(basis, rest)
                 if (weight := closing.get(end)) is not None:
                     y, row = _times(coef, *weight), result[top]
                     row[b] = y if b not in row else row[b] + y
-    return tuple(
-        tuple(sorted((b, y) for b, y in row.items() if not y.is_zero())) for row in result
-    ), d
+    return result
 
 
 def scalar_of(m: Matrix) -> RationalFn:

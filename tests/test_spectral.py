@@ -136,6 +136,22 @@ def test_compose_is_pointwise():
         quantum_trace(2, [one] * 4)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_nonpositive_m_rejected(m):
+    # Every entry point refuses m < 1 alike.  At m = -1 the projector sum
+    # has no terms, so no projector index is ever checked on the way.
+    calls = (
+        lambda: quantum_trace(m, [Laurent2.one()] * (m + 1)),
+        lambda: lg_closed_2braid(m, 3),
+        lambda: skein_coefficient_report(m),
+        lambda: braiding_eigenvalue(m, 0),
+        lambda: projector_trace(m, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            call()
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, -2])
 def test_braiding_powers_m2(k):
     assert braiding_eigenvalue(2, 0) ** k == t(2 * k)

@@ -5,17 +5,18 @@ The tensor kernel against its plain definitions, checked by hypothesis.
 entries, and ``RationalFn`` builds sums and products of Laurent
 polynomials without its constructor.  On a polynomial assignment the
 entries are ``Laurent2`` numerators, which must equal the ``RationalFn``
-route's entry for entry.  The oracles below are the
-straightforward dense versions: every pair of entries tested for zero,
-and every result built through ``RationalFn.__init__``.  The kernel's
-operands are made sparse from the dense matrices and its results dense
-again; they must agree field for field (``num`` and ``den``), not merely
-in value.  ``bracket`` must likewise equal the dense composition of
-``dense_kernel`` on braid closures and on the validator's isotopies, and
-``_lift``, which builds each of its slices, must equal the Kronecker
-product with identities on either side.  ``braid_bracket``, which
-evolves basis states instead of composing slices, must equal both
-brackets of the sliced closure.
+route's entry for entry.  The oracles below are the straightforward
+dense versions: every pair of entries tested for zero, and every result
+built through ``RationalFn.__init__``.  The kernel's operands are made
+sparse from the dense matrices and its results dense again; they must
+agree field for field (``num`` and ``den``), not merely in value.  No
+library code calls ``kron`` or ``mat_mul`` any more: both evaluators
+move sparse basis states through one piece at a time.  ``bracket``,
+which evolves each bottom basis through the rows of a sliced diagram,
+must equal the dense composition of ``dense_kernel`` on braid closures
+and on the validator's isotopies, and ``braid_bracket``, which evolves
+the upward strands of a closure only, must equal both brackets of the
+sliced closure.
 """
 from dataclasses import replace
 
@@ -34,11 +35,9 @@ from linksgould.sliced import to_sliced  # noqa: E402
 from linksgould.tensor import (  # noqa: E402
     _ISOTOPIES,
     _dense,
-    _lift,
     _sparse,
     bracket,
     braid_bracket,
-    identity_matrix,
     kron,
     lg11_fixture,
     mat_mul,
@@ -134,7 +133,7 @@ def dense(m):
         columns = [j for j, _ in row]
         assert columns == sorted(set(columns)) and all(0 <= j < cols for j in columns)
         assert not any(x.is_zero() for _, x in row)
-    return _dense(m)
+    return _dense([dict(row) for row in rows], cols)
 
 
 @laws
@@ -175,37 +174,7 @@ def test_laurent2_kernel_matches_rationalfn(pair):
     rational = _sparse(a), _sparse(b)
     assert_numerators(kron(*laurent), kron(*rational))
     assert_numerators(mat_mul(*laurent), mat_mul(*rational))
-    assert fields(_dense(mat_mul(*laurent))) == fields(oracle_mat_mul(a, b))
-
-
-@st.composite
-def lift_operand(draw):
-    """A matrix P, and whether its sparse form holds Laurent2 entries."""
-    polynomial = draw(st.booleans())
-    of = polynomial_entries if polynomial else entries
-    return draw(matrices(draw(sides), draw(sides), of)), polynomial
-
-
-padding = st.sampled_from((1, 2, 4))
-
-
-@laws
-@given(lift_operand(), padding, padding)
-def test_lift_matches_kron(operand, left, right):
-    p, polynomial = operand
-    sp = _sparse(p, polynomial)
-    got = _lift(sp, left, right)
-    eye = identity_matrix
-    want = kron(kron(_sparse(eye(left), polynomial), sp), _sparse(eye(right), polynomial))
-    assert got[1] == want[1] and len(got[0]) == len(want[0])
-    for got_row, want_row in zip(got[0], want[0]):
-        assert [j for j, _ in got_row] == [j for j, _ in want_row]
-        for (_, x), (_, y) in zip(got_row, want_row):
-            assert type(x) is type(y) and x == y
-    # Every entry is one of P's own objects: none was multiplied.
-    own = {id(x) for row in sp[0] for _, x in row}
-    assert all(id(x) in own for row in got[0] for _, x in row)
-    assert fields(dense(got)) == fields(oracle_kron(oracle_kron(eye(left), p), eye(right)))
+    assert fields(dense(mat_mul(*laurent))) == fields(oracle_mat_mul(a, b))
 
 
 @laws
