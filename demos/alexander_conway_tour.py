@@ -12,12 +12,12 @@ from linksgould import (
     braid_closure,
     canonical_key,
     component_count,
-    conway,
     is_split,
     parse_braid,
     smooth_crossing,
     switch_crossing,
 )
+from linksgould.conway import conway
 
 # Links enter as braid closures.  "1 1 1" is the trefoil: three positive
 # crossings of the two-strand generator.

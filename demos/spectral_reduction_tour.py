@@ -19,12 +19,12 @@ from linksgould import (
     BraidWord,
     braid_closure,
     braiding_eigenvalue,
-    conway,
     lg_closed_2braid,
     projector_trace,
     reduce_at_root,
     skein_coefficient_report,
 )
+from linksgould.conway import conway
 
 m = 2
 print(f"eigenvalues for m = {m}:",

@@ -19,7 +19,6 @@ from linksgould import (
     braid_bracket,
     braid_closure,
     bracket,
-    conway,
     dump_fixture,
     lg11_fixture,
     load_fixture,
@@ -28,6 +27,7 @@ from linksgould import (
     to_sliced,
     validate_assignment,
 )
+from linksgould.conway import conway
 
 fx = lg11_fixture()
 print("validation of the LG^(1,1) fixture:")

@@ -15,19 +15,17 @@ The package has four layers:
 
 ``linksgould.verify`` cross-checks the layers against each other with
 zero-tolerance exact comparisons.
+
+The algebra layer and the tensor engine are imported with the package.
+The spectral layer, the skein engine's ``diagram`` and ``verify`` load
+on first use of one of their names (``_LAZY``), so that a command that
+does not need them does not pay for importing them.  The skein engine's
+``conway`` function is imported from its submodule, ``linksgould.conway``.
 """
+import importlib
+
 from .braid import BraidWord, parse_braid
-from .conway import conway
 from .cyclotomic import CycloFraction, cyclotomic_poly, reduce_at_root, root_order
-from .diagram import (
-    OrientedDiagram,
-    braid_closure,
-    canonical_key,
-    component_count,
-    is_split,
-    smooth_crossing,
-    switch_crossing,
-)
 from .errors import (
     BudgetError,
     FixtureValidationError,
@@ -39,13 +37,6 @@ from .errors import (
 from .laurent import HalfLaurent, Laurent2
 from .rational import RationalFn, laurent_gcd
 from .sliced import Piece, SlicedDiagram, to_sliced
-from .spectral import (
-    braiding_eigenvalue,
-    lg_closed_2braid,
-    projector_trace,
-    quantum_trace,
-    skein_coefficient_report,
-)
 from .tensor import (
     TensorAssignment,
     ValidationReport,
@@ -58,8 +49,34 @@ from .tensor import (
     validate_assignment,
 )
 from .textform import parse_half, parse_laurent2, parse_rational
-from .verify import ReportDocument, VerificationCell, run_suite
 from .version import __version__
+
+# Exported names whose submodule loads on first use.
+_LAZY = {
+    "braiding_eigenvalue": "spectral",
+    "lg_closed_2braid": "spectral",
+    "projector_trace": "spectral",
+    "quantum_trace": "spectral",
+    "skein_coefficient_report": "spectral",
+    "OrientedDiagram": "diagram",
+    "braid_closure": "diagram",
+    "canonical_key": "diagram",
+    "component_count": "diagram",
+    "is_split": "diagram",
+    "smooth_crossing": "diagram",
+    "switch_crossing": "diagram",
+    "ReportDocument": "verify",
+    "VerificationCell": "verify",
+    "run_suite": "verify",
+}
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
 
 __all__ = [
     "__version__",
@@ -88,7 +105,6 @@ __all__ = [
     "component_count",
     "is_split",
     "canonical_key",
-    "conway",
     "Piece",
     "SlicedDiagram",
     "to_sliced",

@@ -9,6 +9,11 @@ Commands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource budget or input bound exceeded.
+
+Each command imports only the engine it runs.  The tensor engine and the
+algebra layer are imported with this module; ``alexander`` imports the
+skein engine (``conway``, ``diagram``), ``lg2braid`` the spectral layer
+and ``verify`` the verification harness, each inside its own handler.
 """
 from __future__ import annotations
 
@@ -17,16 +22,13 @@ import sys
 from functools import cache
 
 from .braid import parse_braid
-from .conway import conway
 from .cyclotomic import reduce_at_root
-from .diagram import braid_closure
 from .errors import (
     BudgetError,
     FixtureValidationError,
     ParseError,
     PoleAtRootError,
 )
-from .spectral import MAX_LG_M, lg_closed_2braid
 from .tensor import (
     MAX_TENSOR_DIM,
     MAX_TENSOR_LETTERS,
@@ -36,7 +38,6 @@ from .tensor import (
     load_fixture,
     scalar_of,
 )
-from .verify import SUITES, run_suite
 from .version import __version__
 
 __all__ = ["main"]
@@ -108,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite")  # checked against verify.SUITES in _cmd_verify
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -128,6 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_alexander(args) -> int:
+    from .conway import conway
+    from .diagram import braid_closure
+
     word = parse_braid(args.braid, args.strands)
     _check_bound("strand count", word.strands, MAX_ALEXANDER_STRANDS)
     value = conway(braid_closure(word))
@@ -145,6 +149,8 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_lg2braid(args) -> int:
+    from .spectral import MAX_LG_M, lg_closed_2braid
+
     _check_bound("--m", args.m, MAX_LG_M)
     _check_bound("|--k|", abs(args.k), MAX_LG_K)
     value = lg_closed_2braid(args.m, args.k)
@@ -158,6 +164,12 @@ def _cmd_lg2braid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .spectral import MAX_LG_M
+    from .verify import SUITES, run_suite
+
+    if args.suite not in SUITES:
+        names = ", ".join(sorted(SUITES))
+        _build_parser().error(f"argument suite: invalid choice: {args.suite!r} (choose from {names})")
     if args.max_m is not None:
         _check_bound("--max-m", args.max_m, MAX_LG_M)
     if args.max_k is not None:

@@ -14,7 +14,6 @@ from linksgould.braid import parse_braid
 from linksgould.cli import (
     MAX_ALEXANDER_STRANDS,
     MAX_LG_K,
-    MAX_LG_M,
     MAX_TENSOR_DIM,
     MAX_TENSOR_LETTERS,
     MAX_TENSOR_STRANDS,
@@ -24,6 +23,7 @@ from linksgould.cli import (
 from linksgould.conway import MAX_SKEIN_CROSSINGS
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
+from linksgould.spectral import MAX_LG_M
 from linksgould.tensor import (
     TensorAssignment,
     braid_bracket,
@@ -439,6 +439,33 @@ def test_runs_without_site_packages():
     assert (done.returncode, done.stdout) == (0, "t - 1 + t^-1\n"), done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["tensor", "eval", "--braid", "1 1 1"], ""),
+        (["alexander", "1 1 1"], "conway diagram"),
+    ],
+)
+def test_command_imports_only_its_engine(argv, loaded):
+    # A fresh process that runs one command loads only the engine it needs:
+    # tensor eval loads neither the skein engine, the spectral layer nor
+    # verify, and alexander loads the skein engine alone.
+    script = (
+        "import sys\n"
+        "import linksgould, linksgould.cli\n"
+        f"linksgould.cli.main({argv!r})\n"
+        "engines = ('conway', 'diagram', 'spectral', 'verify')\n"
+        "print(*[name for name in engines if f'linksgould.{name}' in sys.modules])\n"
+    )
+    src = str(Path(linksgould.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == loaded
+
+
 def test_tensor_eval_fixture_file(capsys, tmp_path):
     path = tmp_path / "lg11.json"
     dump_fixture(lg11_fixture(), path)
@@ -488,10 +515,14 @@ def test_tensor_eval_malformed_fixture(capsys, tmp_path, field, value):
     assert "Traceback" not in err
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not-a-suite"])
     assert exc.value.code == 2
+    # verify.SUITES is the one list of suite names, and the error shows it.
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert all(name in err for name in SUITES), err
 
 
 MIXED_ARGV = [

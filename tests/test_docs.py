@@ -3,8 +3,11 @@ export lists are sound."""
 import argparse
 import importlib
 import itertools
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,49 @@ def test_exported_names_resolve_once(module):
     assert len(names) == len(set(names)), module.__name__
     for name in names:
         assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this package."""
+    src = str(Path(linksgould.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_lazy_exports_resolve_to_their_home_objects():
+    # Some exports load their submodule on first use; each still resolves
+    # to its home module's object, and star-import binds every one.
+    _fresh(
+        "import importlib, linksgould\n"
+        "for name in linksgould.__all__:\n"
+        "    value = getattr(linksgould, name)\n"
+        "    home = 'linksgould.version' if name == '__version__' else value.__module__\n"
+        "    assert getattr(importlib.import_module(home), name) is value, name\n"
+        "star = {}\n"
+        "exec('from linksgould import *', star)\n"
+        "assert set(linksgould.__all__) <= set(star)\n"
+        "try:\n"
+        "    linksgould.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('linksgould.no_such_name resolved')\n"
+    )
+
+
+@pytest.mark.parametrize("first", ["cli", "verify"])
+def test_conway_is_the_submodule_whatever_loads_first(first):
+    # The package exports no conway function, so linksgould.conway is the
+    # skein engine's module in every import order.
+    _fresh(
+        "import types\n"
+        f"import linksgould.{first}\n"
+        "import linksgould.conway\n"
+        "assert isinstance(linksgould.conway, types.ModuleType), linksgould.conway\n"
+    )
 
 
 def _parser_options(parser, path=()):

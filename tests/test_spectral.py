@@ -3,11 +3,11 @@ from math import gcd
 
 import pytest
 
-from linksgould.cli import MAX_LG_M
 from linksgould.cyclotomic import CycloFraction, reduce_at_root
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
 from linksgould.spectral import (
+    MAX_LG_M,
     _trace_parts,
     braiding_eigenvalue,
     lg_closed_2braid,
