@@ -4,7 +4,7 @@ Alexander-Conway polynomial.
 
 The package has four layers:
 
-- exact algebra: ``Laurent2`` and ``HalfLaurent`` (two key types over
+- exact algebra: ``Laurent2`` and ``HalfLaurent`` (two thin types over
   one sparse Laurent core), ``RationalFn``, ``CycloFraction`` and
   root-of-unity reduction;
 - the spectral calculus of LG^(m,1): eigenvalues, projector traces,

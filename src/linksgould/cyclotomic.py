@@ -157,19 +157,8 @@ class CycloFraction(_Quotient):
             )
         return CycloFraction(self.d, other.num, other.den)
 
-    def __add__(self, other) -> CycloFraction:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return CycloFraction(self.d, self.num + other.num, self.den)
-        return CycloFraction(
-            self.d,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
-
-    __radd__ = __add__
+    def _make(self, num: Laurent2, den: Laurent2) -> CycloFraction:
+        return CycloFraction(self.d, num, den)
 
     def __neg__(self) -> CycloFraction:
         out = CycloFraction.__new__(CycloFraction)
@@ -177,14 +166,6 @@ class CycloFraction(_Quotient):
         object.__setattr__(out, "num", -self.num)
         object.__setattr__(out, "den", self.den)
         return out
-
-    def __mul__(self, other) -> CycloFraction:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloFraction(self.d, self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def conjugate(self, e: int) -> CycloFraction:
         """

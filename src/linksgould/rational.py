@@ -13,8 +13,8 @@ form only keeps printed output and intermediate sizes sane.
 ``RationalFn`` lifts an ``int`` or a ``Laurent2`` operand to a fraction
 with denominator 1 and returns ``NotImplemented`` for any other type, as
 the mixing rule in ``laurent`` says; ``CycloFraction`` lifts through this
-same lift.  Both fraction types share the ring-free part of a quotient,
-``_Quotient``.
+same lift.  Both fraction types share one set of fraction operators,
+``_Quotient``, over their own ``_coerce`` and ``_make``.
 
 The gcd itself is one subresultant polynomial remainder sequence whose
 coefficients are ``Laurent2`` values: a polynomial is split by powers of
@@ -228,8 +228,11 @@ def laurent_gcd(a: Laurent2, b: Laurent2) -> Laurent2:
 class _Quotient:
     """
     The ring-free part of an immutable quotient ``num/den`` of ``Laurent2``
-    values.  A subclass supplies ``_coerce`` (the other operand in its own
-    type, or NotImplemented), ``__add__`` and ``__neg__``.
+    values, ``+``, ``-`` and ``*`` included.  A subclass supplies ``_coerce``
+    (the other operand in its own type, or NotImplemented), ``_make(num,
+    den)`` (its own normalized value of num/den) and ``__neg__``.  The
+    benchmark's tracer wraps none of these operators, so they are
+    inherited, not bound again in each subclass.
     """
 
     __slots__ = ("num", "den")
@@ -243,6 +246,16 @@ class _Quotient:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.den._terms == other.den._terms:
+            return self._make(self.num + other.num, self.den)
+        return self._make(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is NotImplemented else self + (-other)
@@ -250,6 +263,14 @@ class _Quotient:
     def __rsub__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is NotImplemented else other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._make(self.num * other.num, _times(self.den, other.den))
+
+    __rmul__ = __mul__
 
     def render(self) -> str:
         if self.den.is_one():
@@ -347,19 +368,9 @@ class RationalFn(_Quotient):
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other) -> RationalFn:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den._terms == _UNIT_TERMS and other.den._terms == _UNIT_TERMS:
-            return _polynomial(self.num + other.num)
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
+    @staticmethod
+    def _make(num: Laurent2, den: Laurent2) -> RationalFn:
+        return _polynomial(num) if den._terms == _UNIT_TERMS else RationalFn(num, den)
 
     def __neg__(self) -> RationalFn:
         f = RationalFn.__new__(RationalFn)
@@ -367,27 +378,13 @@ class RationalFn(_Quotient):
         object.__setattr__(f, "den", self.den)
         return f
 
-    def __mul__(self, other) -> RationalFn:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den._terms == _UNIT_TERMS and other.den._terms == _UNIT_TERMS:
-            return _polynomial(self.num * other.num)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> RationalFn:
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.reciprocal()
+        return NotImplemented if other is NotImplemented else self * other.reciprocal()
 
     def __rtruediv__(self, other) -> RationalFn:
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.reciprocal()
+        return NotImplemented if other is NotImplemented else other * self.reciprocal()
 
     def __pow__(self, n: int) -> RationalFn:
         return _square_and_multiply(self, n, RationalFn.one, RationalFn.reciprocal)

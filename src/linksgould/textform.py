@@ -45,7 +45,7 @@ Box = tuple[tuple[int, int], ...]  # (lowest, highest) exponent of each variable
 
 def _box(p) -> Box | None:
     """The exponent box of a polynomial's terms; None for zero."""
-    keys = [e if isinstance(e, tuple) else (e,) for e, _ in p.terms()]
+    keys = [e for e, _ in p.terms()]
     return tuple((min(c), max(c)) for c in zip(*keys)) if keys else None
 
 

@@ -130,3 +130,29 @@ def test_half_substitute_power():
     result = (s(2) - 1 + s(-2)).substitute_power(3)
     assert result.is_q_free()
     assert result == t(6) - 1 + t(-6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Laurent2({(1.7, 0): 1}),
+        lambda: Laurent2({(0, 2.0): 1}),
+        lambda: Laurent2({("3", 0): 1}),
+        lambda: Laurent2.t(0.5),
+        lambda: HalfLaurent({2.9: 1}),
+        lambda: HalfLaurent.s("1"),
+    ],
+    ids=["t^1.7", "q^2.0", "t^str", "t(0.5)", "s^2.9", "s(str)"],
+)
+def test_non_integer_exponent_is_refused(build):
+    with pytest.raises(TypeError, match="exponent .* is not an integer"):
+        build()
+
+
+def test_constructors_keep_their_key_spelling_and_coefficient_check():
+    assert HalfLaurent({1: 1, -1: -1}) == s(1) - s(-1)
+    assert HalfLaurent({0: 5}) == HalfLaurent.const(5) == 5
+    assert Laurent2({(0, 0): 5}) == Laurent2.const(5) == 5
+    for cls in (Laurent2, HalfLaurent):
+        with pytest.raises(TypeError, match="coefficient"):
+            cls.const(1.5)
