@@ -8,30 +8,29 @@ than the largest index used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import ParseError
 
 __all__ = ["BraidWord", "parse_braid"]
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A word in the braid group on ``strands`` strands."""
 
-    strands: int
-    letters: tuple[tuple[int, int], ...]
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: tuple[tuple[int, int], ...]):
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        for idx, sign in self.letters:
-            if not 1 <= idx < self.strands:
+        for idx, sign in letters:
+            if not 1 <= idx < strands:
                 raise ValueError(
-                    f"generator index {idx} out of range for {self.strands} strands"
+                    f"generator index {idx} out of range for {strands} strands"
                 )
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +-1, got {sign}")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     def permutation(self) -> tuple[int, ...]:
         """Where each starting position ends up, as a 0-based map."""

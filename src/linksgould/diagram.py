@@ -15,8 +15,7 @@ memoization key needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .braid import BraidWord
 
 __all__ = [
@@ -32,17 +31,19 @@ __all__ = [
 Passage = tuple[int, bool]  # (crossing id, met on the over strand?)
 
 
-@dataclass(frozen=True)
-class OrientedDiagram:
-    crossings: tuple[tuple[int, int], ...]  # (id, sign)
-    components: tuple[tuple[Passage, ...], ...]
+class OrientedDiagram(Record):
+    __slots__ = ("crossings", "components")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        crossings: tuple[tuple[int, int], ...],  # (id, sign)
+        components: tuple[tuple[Passage, ...], ...],
+    ):
         seen: dict[int, list[bool]] = {}
-        for comp in self.components:
+        for comp in components:
             for cid, over in comp:
                 seen.setdefault(cid, []).append(over)
-        ids = {cid for cid, _ in self.crossings}
+        ids = {cid for cid, _ in crossings}
         if set(seen) != ids:
             raise ValueError("passage crossing ids do not match crossing list")
         for cid, flags in seen.items():
@@ -50,9 +51,11 @@ class OrientedDiagram:
                 raise ValueError(
                     f"crossing {cid} must be passed exactly twice, over and under"
                 )
-        for cid, sign in self.crossings:
+        for cid, sign in crossings:
             if sign not in (1, -1):
                 raise ValueError(f"crossing {cid} has sign {sign}")
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "components", components)
 
     def sign_of(self, cid: int) -> int:
         for c, sign in self.crossings:

@@ -25,9 +25,8 @@ An operand that no type can lift gets Python's own ``TypeError``.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable, Mapping
 from math import gcd
-from typing import Iterable, Mapping
 
 __all__ = ["Laurent2", "HalfLaurent"]
 
@@ -370,6 +369,8 @@ class Laurent2(_SparseLaurent):
 
     def evaluate(self, t: Fraction | int, q: Fraction | int) -> Fraction:
         """Evaluate at exact rational (nonzero) values of t and q."""
+        from fractions import Fraction
+
         t = Fraction(t)
         q = Fraction(q)
         total = Fraction(0)
@@ -417,6 +418,8 @@ class HalfLaurent(_SparseLaurent):
         return self._raw({(-e, 0): c for (e, _), c in self._terms.items()})
 
     def evaluate(self, s: Fraction | int) -> Fraction:
+        from fractions import Fraction
+
         s = Fraction(s)
         return sum((c * s**e for (e, _), c in self._terms.items()), Fraction(0))
 

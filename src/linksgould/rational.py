@@ -25,7 +25,6 @@ every division is ``Laurent2.exact_div``.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .laurent import Laurent2, _square_and_multiply

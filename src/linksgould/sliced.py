@@ -15,8 +15,8 @@ and ``CAP_NT`` create and close (down, up) pairs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from ._record import Record
 from .braid import BraidWord
 
 __all__ = ["Piece", "SlicedDiagram", "to_sliced"]
@@ -57,9 +57,11 @@ _SHAPES: dict[Piece, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class SlicedDiagram:
-    rows: tuple[tuple[Piece, ...], ...]
+class SlicedDiagram(Record):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[Piece, ...], ...]):
+        object.__setattr__(self, "rows", rows)
 
     def bottom(self) -> tuple[str, ...]:
         """Orientations of the bottom boundary."""

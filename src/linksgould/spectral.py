@@ -17,9 +17,9 @@ module consistently uses the one fixed by ``projector_trace`` below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .cyclotomic import CycloFraction, reduce_at_root
 from .laurent import Laurent2
 from .rational import RationalFn
@@ -169,13 +169,15 @@ def lg_closed_2braid(m: int, k: int) -> RationalFn:
     return quantum_trace(m, [braiding_eigenvalue(m, i) ** k for i in range(m + 1)])
 
 
-@dataclass(frozen=True, eq=False)
-class SkeinCoefficient:
+class SkeinCoefficient(Record, eq=False):
     """One row of the skein-coefficient report (see below)."""
 
-    i: int
-    raw: CycloFraction
-    product: CycloFraction
+    __slots__ = ("i", "raw", "product")
+
+    def __init__(self, i: int, raw: CycloFraction, product: CycloFraction):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "product", product)
 
 
 def skein_coefficient_report(m: int, r: int = 1) -> tuple[SkeinCoefficient, ...]:

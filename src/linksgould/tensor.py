@@ -51,11 +51,11 @@ could outgrow the text grammar's expression bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 from pathlib import Path
 
+from ._record import Record
 from .braid import BraidWord
 from .errors import BudgetError, FixtureValidationError, NotScalarError
 from .laurent import Laurent2
@@ -192,19 +192,21 @@ def _first_mismatch(a: Matrix, b: Matrix) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class TensorAssignment:
-    """Matrices for the elementary pieces; shapes are fixed by ``dim``."""
+class TensorAssignment(Record):
+    """
+    Matrices for the elementary pieces; shapes are fixed by ``dim``: ``R``
+    and ``Rinv`` are D^2 x D^2, the caps ``n`` and ``ntilde`` 1 x D^2, the
+    cups ``u`` and ``utilde`` D^2 x 1.
+    """
 
-    dim: int
-    R: Matrix
-    Rinv: Matrix
-    n: Matrix  # 1 x D^2
-    ntilde: Matrix  # 1 x D^2
-    u: Matrix  # D^2 x 1
-    utilde: Matrix  # D^2 x 1
+    # The __dict__ slot holds the cached sparse pieces.
+    __slots__ = ("dim", "R", "Rinv", "n", "ntilde", "u", "utilde", "__dict__")
 
-    def __post_init__(self):
+    def __init__(
+        self, dim: int, R: Matrix, Rinv: Matrix, n: Matrix, ntilde: Matrix, u: Matrix, utilde: Matrix
+    ):
+        for name, value in zip(self._fields, (dim, R, Rinv, n, ntilde, u, utilde)):
+            object.__setattr__(self, name, value)
         d = self.dim
         if d < 1:
             raise ValueError("dimension must be positive")
@@ -269,16 +271,20 @@ class TensorAssignment:
         return self._pieces[Piece.ID_UP][0][0][0][1]
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    witness: str | None = None
+class ValidationCheck(Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
+class ValidationReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[ValidationCheck, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 from .braid import BraidWord
 from .conway import conway
 from .cyclotomic import CycloFraction, _root_power, reduce_at_root
@@ -52,13 +52,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationCell:
-    suite: str
-    params: dict
-    left: str
-    right: str
-    passed: bool
+class VerificationCell(Record, eq=False):
+    __slots__ = ("suite", "params", "left", "right", "passed")
+
+    def __init__(self, suite: str, params: dict, left: str, right: str, passed: bool):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "passed", passed)
 
     def to_dict(self) -> dict:
         return {
@@ -70,12 +72,16 @@ class VerificationCell:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class ReportDocument:
-    version: str
-    suite: str
-    cells: tuple[VerificationCell, ...]
-    elapsed_seconds: float
+class ReportDocument(Record, eq=False):
+    __slots__ = ("version", "suite", "cells", "elapsed_seconds")
+
+    def __init__(
+        self, version: str, suite: str, cells: tuple[VerificationCell, ...], elapsed_seconds: float
+    ):
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "elapsed_seconds", elapsed_seconds)
 
     @property
     def passed(self) -> bool:

@@ -5,11 +5,12 @@ The dense tensor kernel, kept as a test oracle.
 ``RationalFn`` rows) and multiply only nonzero entries, summing each
 entry's products in increasing k: the same products, in the same order,
 as the sparse kernel of ``linksgould.tensor``.  ``bracket`` composes them
-over a sliced diagram from the fixture's dense fields.
+over a sliced diagram from the fixture's dense fields.  ``rebuilt``
+makes a fixture with some fields changed.
 """
 from linksgould.rational import RationalFn
 from linksgould.sliced import Piece
-from linksgould.tensor import identity_matrix
+from linksgould.tensor import TensorAssignment, identity_matrix
 
 _ZERO = RationalFn.zero()
 
@@ -21,6 +22,12 @@ _FIELDS = {
     Piece.CUP_U: "u",
     Piece.CUP_UT: "utilde",
 }
+
+
+def rebuilt(fx, **changes):
+    """The fixture ``fx`` built again through its constructor, with ``changes`` as new fields."""
+    fields = {name: getattr(fx, name) for name in _FIELDS.values()}
+    return TensorAssignment(fx.dim, **{**fields, **changes})
 
 
 def _nonzero(entries):

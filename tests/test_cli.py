@@ -466,6 +466,30 @@ def test_command_imports_only_its_engine(argv, loaded):
     assert done.stdout.splitlines()[-1] == loaded
 
 
+@pytest.mark.parametrize(
+    "argv", [["tensor", "eval", "--braid", "1 1 1"], ["alexander", "1 1 1"]], ids=["tensor", "alexander"]
+)
+def test_command_loads_no_heavy_stdlib_module(argv):
+    # Without site (python -S), nothing but the package loads these modules:
+    # the records are plain slotted classes, not dataclasses (which pull in
+    # inspect), and only evaluate() imports fractions.
+    script = (
+        "import sys\n"
+        "import linksgould, linksgould.cli\n"
+        f"linksgould.cli.main({argv!r})\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'typing')\n"
+        "print(*[name for name in heavy if name in sys.modules])\n"
+        "print(repr(linksgould.Laurent2.t(-1).evaluate(2, 1)))\n"
+    )
+    src = str(Path(linksgould.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["", "Fraction(1, 2)"]
+
+
 def test_tensor_eval_fixture_file(capsys, tmp_path):
     path = tmp_path / "lg11.json"
     dump_fixture(lg11_fixture(), path)

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import dense_kernel
@@ -104,7 +103,7 @@ def with_entries(fx, **changes):
         for i, j, x in entries:
             rows[i][j] = RationalFn._coerce(x)
         fields[name] = tuple(map(tuple, rows))
-    return replace(fx, **fields)
+    return dense_kernel.rebuilt(fx, **fields)
 
 
 def closing_weight(fx):

@@ -18,7 +18,6 @@ and on the validator's isotopies, and ``braid_bracket``, which evolves
 the upward strands of a closure only, must equal both brackets of the
 sliced closure.
 """
-from dataclasses import replace
 
 import pytest
 
@@ -198,7 +197,7 @@ def perturbed_lg11(draw, names=FIELDS):
     j = draw(st.integers(0, len(rows[0]) - 1))
     den = draw(st.sampled_from([t() + 1, q() - 1, t() - q(), t() * q() + 3]))
     rows[i][j] = rows[i][j] + RationalFn(t(draw(st.integers(-2, 2))), den)
-    return replace(LG11, **{name: tuple(map(tuple, rows))})
+    return dense_kernel.rebuilt(LG11, **{name: tuple(map(tuple, rows))})
 
 
 two_state = st.one_of(st.just(LG11), perturbed_lg11())

@@ -6,10 +6,9 @@ with ``kron``, the quantum trace (id (x) n) . (X (x) id) . (id (x) u) and
 the zigzags as cap/cup products.
 Both must report the same (name, passed, witness) triples.
 """
-from dataclasses import replace
 
 import pytest
-from dense_kernel import kron, mat_mul
+from dense_kernel import kron, mat_mul, rebuilt
 from test_cli import flip_fixture
 
 from linksgould.laurent import Laurent2
@@ -67,7 +66,7 @@ def perturbations():
             for j in range(len(row)):
                 rows = [list(r) for r in mat]
                 rows[i][j] = rows[i][j] + bump
-                yield f"{name}[{i}][{j}]", replace(fx, **{name: tuple(map(tuple, rows))})
+                yield f"{name}[{i}][{j}]", rebuilt(fx, **{name: tuple(map(tuple, rows))})
 
 
 def unnormalized_swap():
