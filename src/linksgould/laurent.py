@@ -14,7 +14,9 @@ maps exponent pairs to nonzero integer coefficients and does the arithmetic:
 
 All values are immutable and hashable; arithmetic always returns
 canonical forms (no explicit zero coefficients are ever stored), so two
-values are equal exactly when their term maps are equal.
+values are equal exactly when their term maps are equal.  A product by
+zero, a unit or a monomial is a shift of the other operand's exponents;
+only two operands of two or more terms each run the general product loop.
 
 The exact scalar types mix by one rule.  Each binary operation lifts the
 other operand into its own type when it can, and otherwise returns
@@ -186,6 +188,12 @@ class _SparseLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # A product by zero or a monomial is a shift of the other operand: it
+        # never cancels, and keeps that operand's term order, as the loop would.
+        if len(self._terms) < 2:
+            return other._shifted(self._terms)
+        if len(other._terms) < 2:
+            return self._shifted(other._terms)
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
@@ -195,6 +203,14 @@ class _SparseLaurent:
                     out[e] = s
                 else:
                     out.pop(e, None)
+        return self._raw(out)
+
+    def _shifted(self, monomial: dict):
+        """self times a monomial or zero, given as its term map: the one shift loop."""
+        out = {}
+        for (dt, dq), k in monomial.items():
+            for (et, eq), c in self._terms.items():
+                out[et + dt, eq + dq] = c * k
         return self._raw(out)
 
     def __pow__(self, n: int):
@@ -311,13 +327,7 @@ class Laurent2(_SparseLaurent):
         >>> print((Laurent2.t() - 1).shifted(-1, 2, -3))
         -3q^2 + 3t^-1q^2
         """
-        if factor == 1:
-            return self._raw({(et + dt, eq + dq): c for (et, eq), c in self._terms.items()})
-        if not factor:
-            return self.zero()
-        return self._raw(
-            {(et + dt, eq + dq): c * factor for (et, eq), c in self._terms.items()}
-        )
+        return self._shifted({(dt, dq): factor} if factor else {})
 
     def exact_div(self, other: Laurent2) -> Laurent2:
         """

@@ -21,7 +21,8 @@ coefficients are ``Laurent2`` values: a polynomial is split by powers of
 its main variable (t or q, whichever has the smaller span), the
 coefficients' contents come from the same gcd in the other variable
 (where the coefficients are integers and ``math.gcd`` suffices), and
-every division is ``Laurent2.exact_div``.
+every division is ``Laurent2.exact_div``.  Its many products by a unit
+or a monomial, such as a leading coefficient of 1, are shifts.
 """
 from __future__ import annotations
 
@@ -99,33 +100,9 @@ def _content(values: list[Laurent2], var: int) -> Laurent2:
     return g
 
 
-def _sign(x: Laurent2) -> int:
-    """1 or -1 when x is that constant, else 0."""
-    c = x.coefficient(0, 0) if len(x) == 1 else 0
-    return c if c in (1, -1) else 0
-
-
-def _times(a: Laurent2, b: Laurent2) -> Laurent2:
-    """a * b; a factor of 1 or -1 costs no product."""
-    if sign := _sign(a):
-        return b if sign == 1 else -b
-    if sign := _sign(b):
-        return a if sign == 1 else -a
-    return a * b
-
-
-def _power(x: Laurent2, n: int) -> Laurent2:
-    """x ** n for n >= 0; a base of 1 or -1 costs no product."""
-    if _sign(x):
-        return x if n % 2 else Laurent2.one()
-    return x**n
-
-
 def _scaled(coeffs: list[Laurent2], x: Laurent2) -> list[Laurent2]:
-    """Each coefficient times x; zero coefficients and units 1, -1 cost no product."""
-    if x.is_one():
-        return coeffs
-    return [c if c.is_zero() else _times(c, x) for c in coeffs]
+    """Each coefficient times x; a product by zero or a monomial is a shift."""
+    return [c * x for c in coeffs]
 
 
 def _divided(coeffs: list[Laurent2], x: Laurent2) -> list[Laurent2]:
@@ -147,11 +124,11 @@ def _prem(a: list[Laurent2], b: list[Laurent2]) -> list[Laurent2]:
         r = _scaled(r, lc)
         for j in range(db):
             if not b[j].is_zero():
-                r[shift + j] = r[shift + j] - _times(top, b[j])
+                r[shift + j] = r[shift + j] - top * b[j]
         while r and r[-1].is_zero():
             r.pop()
         e -= 1
-    return _scaled(r, _power(lc, e)) if e > 0 else r
+    return _scaled(r, lc**e) if e > 0 else r
 
 
 def _gcd(a: Laurent2, b: Laurent2, main: int) -> Laurent2:
@@ -176,12 +153,12 @@ def _gcd(a: Laurent2, b: Laurent2, main: int) -> Laurent2:
         if len(r) == 1:
             g = [Laurent2.one()]
             break
-        f, g = g, _divided(r, _times(lead, _power(h, delta)))
+        f, g = g, _divided(r, lead * h**delta)
         lead = f[-1]
         if delta == 1:
             h = lead
         elif delta > 1:
-            h = _power(lead, delta).exact_div(_power(h, delta - 1))
+            h = (lead**delta).exact_div(h ** (delta - 1))
     return _join(_scaled(_divided(g, _content(g, other)), d), main)
 
 
@@ -267,7 +244,7 @@ class _Quotient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._make(self.num * other.num, _times(self.den, other.den))
+        return self._make(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -19,12 +19,13 @@ Both evaluators move sparse {basis: entry} states through one piece at a
 time with one kernel, ``_apply``: a basis is an integer whose base-D
 digits are the strands, and a piece P with k strands to its right takes
 the digits (hi, j, lo), lo the last k, to (hi, r, lo) for each entry
-P[r][j].  An entry of 1 passes the coefficient through, a ``Laurent2``
-monomial shifts it (``Laurent2.shifted``), and only the other entries
-multiply, unless the coefficient is still the 1 that the state started
-from; a product of nonzero entries is never zero, so an entry is dropped
-only where a sum cancels.  Each piece's entries, and the nonzero entries
-of the closing weight below, are classified once per fixture.
+P[r][j].  An entry of 1 passes the coefficient through, and the other
+entries multiply it, unless the coefficient is still the 1 that the state
+started from; a ``Laurent2`` monomial entry shifts it through
+``Laurent2``'s own product.  A product of nonzero entries is never zero,
+so an entry is dropped only where a sum cancels.  The entries of 1 among
+each piece's entries, and among the nonzero entries of the closing weight
+below, are marked once per fixture.
 
 ``bracket`` evaluates any sliced diagram by evolving each bottom basis
 through each row's active piece; it checks the fixture axioms in
@@ -123,13 +124,13 @@ def identity_matrix(n: int) -> Matrix:
 # count.  Its entries are ``Laurent2`` numerators when every entry of the
 # assignment has denominator 1, and ``RationalFn`` otherwise.  A State is a
 # sparse {basis: entry} map.  A Move is an entry P[r][j] filed under its
-# column j as (r - j, *_entry_class(P[r][j])).  A Step is a piece P as
+# column j as (r - j, _factor(P[r][j])).  A Step is a piece P as
 # ``_apply`` takes it: (D^k for the k strands to its right, P's column
 # count, its row count less its column count, its Moves).
 Entry = RationalFn | Laurent2
 SparseMatrix = tuple[tuple[tuple[tuple[int, Entry], ...], ...], int]
 State = dict[int, Entry]
-Move = tuple[int, Entry | None, tuple[int, int, int] | None]
+Move = tuple[int, Entry | None]
 Step = tuple[int, int, int, list[list[Move]]]
 
 
@@ -201,6 +202,8 @@ class TensorAssignment(Record):
 
     # The __dict__ slot holds the cached sparse pieces.
     __slots__ = ("dim", "R", "Rinv", "n", "ntilde", "u", "utilde", "__dict__")
+    # Its entries have no hash (see RationalFn), so neither has the record.
+    __hash__ = None
 
     def __init__(
         self, dim: int, R: Matrix, Rinv: Matrix, n: Matrix, ntilde: Matrix, u: Matrix, utilde: Matrix
@@ -245,7 +248,7 @@ class TensorAssignment(Record):
             cols = [[] for _ in range(width)]
             for r, row in enumerate(rows):
                 for j, x in row:
-                    cols[j].append((r - j, *_entry_class(x)))
+                    cols[j].append((r - j, _factor(x)))
             out[p] = width, len(rows) - width, cols
         return out
 
@@ -261,7 +264,7 @@ class TensorAssignment(Record):
                 row, j = w_rows[i // d], k // d
                 row[j] = x * y if j not in row else row[j] + x * y
         return [
-            [(j, *_entry_class(w)) for j, w in sorted(row.items()) if not w.is_zero()]
+            [(j, _factor(w)) for j, w in sorted(row.items()) if not w.is_zero()]
             for row in w_rows
         ]
 
@@ -336,23 +339,14 @@ def braid_bracket(word: BraidWord, a: TensorAssignment) -> Matrix:
     return _dense(_evolve_closure(word, a), a.dim)
 
 
-def _entry_class(x: Entry) -> tuple[Entry | None, tuple[int, int, int] | None]:
-    """
-    How ``_apply`` takes a coefficient times x: (None, None) passes it
-    through when x is 1, (x, (dt, dq, k)) shifts it when x is the Laurent2
-    monomial k t^dt q^dq, and (x, None) multiplies otherwise.
-    """
-    if x.is_one():
-        return None, None
-    if isinstance(x, Laurent2) and x.is_monomial():
-        (dt, dq), k = x.leading_term()
-        return x, (dt, dq, k)
-    return x, None
+def _factor(x: Entry) -> Entry | None:
+    """x as a Move holds it: None for an entry of 1, which ``_times`` passes through."""
+    return None if x.is_one() else x
 
 
-def _times(coef: Entry, x: Entry | None, mono: tuple[int, int, int] | None) -> Entry:
-    """coef times the entry that ``_entry_class`` took to (x, mono)."""
-    return coef if x is None else x * coef if mono is None else coef.shifted(*mono)
+def _times(coef: Entry, x: Entry | None) -> Entry:
+    """coef times the entry that ``_factor`` took to x."""
+    return coef if x is None else x * coef
 
 
 def _apply(state: State, step: Step, one: Entry) -> State:
@@ -361,11 +355,11 @@ def _apply(state: State, step: Step, one: Entry) -> State:
     digits (hi, j, lo) of a basis, j the piece's input and lo the strands
     to its right, go to (hi, r, lo) for each entry P[r][j]; where a cap or
     cup changes the width from D^in to D^out, the basis moves by a further
-    hi * (D^out - D^in) * right.  By ``_entry_class``, an entry of 1 passes
-    the coefficient through, a Laurent2 monomial shifts it and any other
-    entry multiplies it; a coefficient that is still the start's one is
-    replaced by the entry.  A product of nonzero entries is never zero, so
-    an entry is dropped only where a sum cancels.
+    hi * (D^out - D^in) * right.  By ``_factor``, an entry of 1 passes
+    the coefficient through and any other entry multiplies it; a
+    coefficient that is still the start's one is replaced by the entry.
+    A product of nonzero entries is never zero, so an entry is dropped
+    only where a sum cancels.
     """
     right, width, grow, cols = step
     grow *= right
@@ -373,11 +367,10 @@ def _apply(state: State, step: Step, one: Entry) -> State:
     for basis, coef in state.items():
         upper = basis // right  # the digits (hi, j)
         base = basis + upper // width * grow
-        for shift, x, mono in cols[upper % width]:
+        for shift, x in cols[upper % width]:
             key = base + shift * right
-            # _times(coef, x, mono), inline, and free for the start's one
-            y = coef if x is None else x if coef is one else (
-                x * coef if mono is None else coef.shifted(*mono))
+            # _times(coef, x), inline, and free for the start's one
+            y = coef if x is None else x if coef is one else x * coef
             if (s := moved.get(key)) is None:
                 moved[key] = y
             elif (s := s + y).is_zero():
@@ -395,8 +388,8 @@ def _evolve_closure(word: BraidWord, a: TensorAssignment) -> list[State]:
     A basis of the n upward strands is an integer, strand 1 its leading
     base-D digit.  The closing weights are rows
     table[c] = {c': prod_j W[c_j][c'_j]}, each formed once per braid, digit
-    by digit from the nonzero entries of W that the fixture classifies
-    once.  The table is a chain of generators, one per closing strand, so
+    by digit from the nonzero entries of W that the fixture holds as
+    Moves.  The table is a chain of generators, one per closing strand, so
     that rows sharing their leading digits share those products and only
     one row per digit is held; a c with no nonzero weight has no row and
     starts no state.  Each start basis (b, c) is evolved alone from the
@@ -407,7 +400,7 @@ def _evolve_closure(word: BraidWord, a: TensorAssignment) -> list[State]:
     table = iter([(0, {0: one})])
     for _ in range(n - 1):
         table = (
-            (c * d + i, {e * d + j: _times(p, x, m) for e, p in ends.items() for j, x, m in row})
+            (c * d + i, {e * d + j: _times(p, x) for e, p in ends.items() for j, x in row})
             for c, ends in table
             for i, row in enumerate(a._closing)
             if row
@@ -417,15 +410,15 @@ def _evolve_closure(word: BraidWord, a: TensorAssignment) -> list[State]:
     steps = [moves[letter] for letter in word.letters]
     result: list[State] = [{} for _ in range(d)]
     for c, ends in table:
-        closing = {end: _entry_class(w) for end, w in ends.items()}
+        closing = {end: _factor(w) for end, w in ends.items()}
         for b in range(d):
             state = {b * rest + c: one}
             for step in steps:
                 state = _apply(state, step, one)
             for basis, coef in state.items():
                 top, end = divmod(basis, rest)
-                if (weight := closing.get(end)) is not None:
-                    y, row = _times(coef, *weight), result[top]
+                if end in closing:
+                    y, row = _times(coef, closing[end]), result[top]
                     row[b] = y if b not in row else row[b] + y
     return result
 

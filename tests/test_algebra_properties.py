@@ -116,3 +116,52 @@ def test_gcd_of_common_multiples(a, b, c):
     assert g.min_exponents() == (0, 0)
     assert g.leading_term()[1] > 0
     assert g.content() == gcd(f.content(), h.content())
+
+
+def loop_product(a, b):
+    """The general product loop over term maps, kept here as the reference
+    for the shift that a product by zero, a unit or a monomial takes."""
+    out = {}
+    for (a1, b1), c1 in a._terms.items():
+        for (a2, b2), c2 in b._terms.items():
+            e = (a1 + a2, b1 + b2)
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+# Zero, 1, -1 and monomials with other coefficients are drawn as often as
+# polynomials of any size, so that each side of a product is often one term.
+scales = st.sampled_from((-3, -2, -1, 1, 2, 7))
+one_term_laurent2 = st.one_of(
+    st.sampled_from((0, 1, -1)).map(Laurent2.const),
+    st.builds(Laurent2.term, scales, st.integers(-4, 4), st.integers(-4, 4)),
+)
+one_term_half = st.one_of(
+    st.sampled_from((0, 1, -1)).map(HalfLaurent.const),
+    st.builds(lambda c, e: HalfLaurent({e: c}), scales, st.integers(-6, 6)),
+)
+
+
+def check_loop_product(cls, a, b, n):
+    for x, y in ((a, b), (b, a), (a, cls.const(n))):
+        got = x * y
+        assert type(got) is cls
+        # Equal term maps, iterated in the same order.
+        assert list(got.terms()) == list(loop_product(x, y).items())
+    assert list((n * a).terms()) == list(loop_product(a, cls.const(n)).items())
+
+
+@laws
+@given(*[st.one_of(one_term_laurent2, laurent2)] * 2, st.integers(-3, 3))
+def test_laurent2_product_by_one_term_is_the_loop_product(a, b, n):
+    check_loop_product(Laurent2, a, b, n)
+
+
+@laws
+@given(*[st.one_of(one_term_half, half)] * 2, st.integers(-3, 3))
+def test_half_laurent_product_by_one_term_is_the_loop_product(a, b, n):
+    check_loop_product(HalfLaurent, a, b, n)

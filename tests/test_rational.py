@@ -166,22 +166,33 @@ def test_gcd_sign_follows_leading_term():
 
 
 # Counts the Laurent2 products made inside laurent_gcd during the
-# theorem-grid report, in a fresh interpreter so that no cache is warm.
+# theorem-grid report, in a fresh interpreter so that no cache is warm, and
+# how many of those with a one-term operand (a unit or a monomial) did not
+# go through the shift loop, ``_SparseLaurent._shifted``.
 _COUNT_GCD_PRODUCTS = """
 import contextlib, hashlib, io, json
 from linksgould import rational
 from linksgould.cli import main
-from linksgould.laurent import Laurent2
+from linksgould.laurent import Laurent2, _SparseLaurent
 
-counts = {"products": 0, "unit": 0}
+counts = {"products": 0, "one_term": 0, "unshifted": 0, "shifts": 0}
 depth = 0
-mul, gcd = Laurent2.__mul__, rational.laurent_gcd
+mul, gcd, shifted = Laurent2.__mul__, rational.laurent_gcd, _SparseLaurent._shifted
+
+def counting_shifted(self, *args):
+    counts["shifts"] += 1
+    return shifted(self, *args)
 
 def counting_mul(a, b):
-    if depth:
-        counts["products"] += 1
-        counts["unit"] += any(x == 1 or x == -1 for x in (a, b))
-    return mul(a, b)
+    if not depth:
+        return mul(a, b)
+    counts["products"] += 1
+    before = counts["shifts"]
+    out = mul(a, b)
+    if min(len(a), len(a._coerce(b))) < 2:
+        counts["one_term"] += 1
+        counts["unshifted"] += counts["shifts"] == before
+    return out
 
 def counting_gcd(a, b):
     global depth
@@ -192,6 +203,7 @@ def counting_gcd(a, b):
         depth -= 1
 
 Laurent2.__mul__ = counting_mul
+_SparseLaurent._shifted = counting_shifted
 rational.laurent_gcd = counting_gcd
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -202,6 +214,8 @@ print(json.dumps(counts))
 
 
 def test_gcd_makes_no_unit_products():
+    # A product by a unit or a monomial is a shift: none of the gcd's
+    # products with a one-term operand runs the general product loop.
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-c", _COUNT_GCD_PRODUCTS],
@@ -216,4 +230,5 @@ def test_gcd_makes_no_unit_products():
         "6c435f2e4b0e3a68e140092f7314551c4d9bffd7a157d56cdf98213fcc0509ff"
     )
     assert counts["products"] > 500  # the grid's gcds really ran
-    assert counts["unit"] == 0
+    assert counts["one_term"] > 500
+    assert counts["unshifted"] == 0

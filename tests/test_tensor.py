@@ -19,7 +19,6 @@ from linksgould.sliced import Piece, SlicedDiagram, to_sliced
 from linksgould.tensor import (
     _ISOTOPIES,
     TensorAssignment,
-    _entry_class,
     bracket,
     braid_bracket,
     dump_fixture,
@@ -58,11 +57,16 @@ def test_lg11_fixture_built_once():
 
 
 def counted_products(monkeypatch):
-    """A list that gains one item per Laurent2 product formed from now on."""
+    """
+    A list that gains one item per full Laurent2 product formed from now
+    on: one whose operands both have two or more terms.  A product by a
+    unit or a monomial is a shift, and is not counted.
+    """
     mul, calls = Laurent2.__mul__, []
 
     def counted(a, b):
-        calls.append(None)
+        if len(a) > 1 and isinstance(b, Laurent2) and len(b) > 1:
+            calls.append(None)
         return mul(a, b)
 
     monkeypatch.setattr(Laurent2, "__mul__", counted)
@@ -74,9 +78,10 @@ _SIX_STRANDS = "1 -2 3 -4 5 1 2 -3"
 
 def test_bracket_forms_no_identity_products(monkeypatch):
     # bracket moves each bottom basis through the active piece of each row
-    # alone, by the same rule as braid_bracket: 360 products here, against
-    # 2 180 when mat_mul composed the lifted slices id (x) P (x) id, and
-    # 48 404 when every entry of a slice was a product with an identity's 1.
+    # alone, by the same rule as braid_bracket: 236 full products here.
+    # When mat_mul composed the lifted slices id (x) P (x) id, it formed
+    # 2 180 products, and 48 404 when every entry of a slice was a product
+    # with an identity's 1.
     fx = lg11_fixture()
     sliced = to_sliced(parse_braid(_SIX_STRANDS, 6), keep_open=True)
     calls = counted_products(monkeypatch)
@@ -86,8 +91,9 @@ def test_bracket_forms_no_identity_products(monkeypatch):
 
 def test_braid_bracket_moves_units_and_monomials_without_products(monkeypatch):
     # An entry of 1 passes a coefficient through and a monomial shifts it,
-    # and the closing weights are tabulated once per braid: 331 products
-    # here, against 1 735 when every entry and closing weight multiplied.
+    # and the closing weights are tabulated once per braid: 236 full
+    # products here, against 1 735 products when every entry and closing
+    # weight multiplied.
     fx = lg11_fixture()
     word = parse_braid(_SIX_STRANDS, 6)
     calls = counted_products(monkeypatch)
@@ -116,19 +122,21 @@ def closing_weight(fx):
 
 
 def entry_kind(x):
-    x, mono = _entry_class(x)
-    if x is None:
+    if x.is_one():
         return "unit"
-    if mono is None:
-        return "rational" if type(x) is RationalFn else "general"
-    return "monomial" if mono[2] in (1, -1) else "scaled monomial"
+    if type(x) is RationalFn:
+        return "rational"
+    if not x.is_monomial():
+        return "general"
+    return "monomial" if x.leading_term()[1] in (1, -1) else "scaled monomial"
 
 
 _LG11 = lg11_fixture()
 _Q = Laurent2.q
 # Each fixture is compared with the sliced closure, so it need not pass
-# validation.  Together their R and Rinv hold every entry class, and one
-# W has a row that cancels to zero, so that no state starts from its c.
+# validation.  Together their R and Rinv hold every entry class, one W
+# has a row that cancels to zero, so that no state starts from its c, and
+# one W has entries of 1, which pass a coefficient through.
 _CLASS_FIXTURES = {
     "lg11": _LG11,
     "scaled": with_entries(
@@ -146,6 +154,7 @@ _CLASS_FIXTURES = {
         u=((2, 0, 1), (3, 0, -1)),
         n=((0, 1, 1), (0, 2, 1)),
     ),
+    "unit W": with_entries(_LG11, u=((0, 0, 1), (3, 0, 1))),
 }
 _CLASS_WORDS = [
     ("1 -1 2 -2", 3),  # sums cancel, down to the value 0 of a split link
@@ -166,6 +175,8 @@ def test_fixtures_cover_every_entry_class():
     assert kinds == {"unit", "monomial", "scaled monomial", "general", "rational"}
     w = closing_weight(_CLASS_FIXTURES["zero W row"])
     assert all(x.is_zero() for x in w[1]) and all(not x.is_zero() for x in w[0])
+    w = closing_weight(_CLASS_FIXTURES["unit W"])
+    assert w[0][0].is_one() and w[1][1].is_one()
 
 
 def dense_fields(m):
