@@ -16,114 +16,78 @@ The package has four layers:
 ``linksgould.verify`` cross-checks the layers against each other with
 zero-tolerance exact comparisons.
 
-The algebra layer and the tensor engine are imported with the package.
-The spectral layer, the skein engine's ``diagram`` and ``verify`` load
-on first use of one of their names (``_LAZY``), so that a command that
-does not need them does not pay for importing them.  The skein engine's
-``conway`` function is imported from its submodule, ``linksgould.conway``.
+``import linksgould`` loads no submodule.  Each exported name is listed
+once in ``_EXPORTS`` with the submodule that defines it, which loads on
+first use of one of its names (PEP 562), so that a program pays only for
+the layers it uses.  A resolved name is then bound in the package, so
+later uses are plain attribute reads.  The skein engine's ``conway``
+function is imported from its submodule, ``linksgould.conway``.
 """
 import importlib
 
-from .braid import BraidWord, parse_braid
-from .cyclotomic import CycloFraction, cyclotomic_poly, reduce_at_root, root_order
-from .errors import (
-    BudgetError,
-    FixtureValidationError,
-    LinksGouldError,
-    NotScalarError,
-    ParseError,
-    PoleAtRootError,
-)
-from .laurent import HalfLaurent, Laurent2
-from .rational import RationalFn, laurent_gcd
-from .sliced import Piece, SlicedDiagram, to_sliced
-from .tensor import (
-    TensorAssignment,
-    ValidationReport,
-    bracket,
-    braid_bracket,
-    dump_fixture,
-    lg11_fixture,
-    load_fixture,
-    scalar_of,
-    validate_assignment,
-)
-from .textform import parse_half, parse_laurent2, parse_rational
-from .version import __version__
-
-# Exported names whose submodule loads on first use.
-_LAZY = {
+# Every exported name and the submodule that defines it; __all__ and
+# __dir__ are read from this table.
+_EXPORTS = {
+    "__version__": "version",
+    "Laurent2": "laurent",
+    "HalfLaurent": "laurent",
+    "RationalFn": "rational",
+    "CycloFraction": "cyclotomic",
+    "laurent_gcd": "rational",
+    "cyclotomic_poly": "cyclotomic",
+    "reduce_at_root": "cyclotomic",
+    "root_order": "cyclotomic",
+    "parse_rational": "textform",
+    "parse_laurent2": "textform",
+    "parse_half": "textform",
     "braiding_eigenvalue": "spectral",
-    "lg_closed_2braid": "spectral",
     "projector_trace": "spectral",
     "quantum_trace": "spectral",
+    "lg_closed_2braid": "spectral",
     "skein_coefficient_report": "spectral",
+    "BraidWord": "braid",
+    "parse_braid": "braid",
     "OrientedDiagram": "diagram",
     "braid_closure": "diagram",
-    "canonical_key": "diagram",
+    "switch_crossing": "diagram",
+    "smooth_crossing": "diagram",
     "component_count": "diagram",
     "is_split": "diagram",
-    "smooth_crossing": "diagram",
-    "switch_crossing": "diagram",
-    "ReportDocument": "verify",
+    "canonical_key": "diagram",
+    "Piece": "sliced",
+    "SlicedDiagram": "sliced",
+    "to_sliced": "sliced",
+    "TensorAssignment": "tensor",
+    "ValidationReport": "tensor",
+    "validate_assignment": "tensor",
+    "bracket": "tensor",
+    "braid_bracket": "tensor",
+    "scalar_of": "tensor",
+    "lg11_fixture": "tensor",
+    "load_fixture": "tensor",
+    "dump_fixture": "tensor",
     "VerificationCell": "verify",
+    "ReportDocument": "verify",
     "run_suite": "verify",
+    "LinksGouldError": "errors",
+    "ParseError": "errors",
+    "PoleAtRootError": "errors",
+    "BudgetError": "errors",
+    "NotScalarError": "errors",
+    "FixtureValidationError": "errors",
 }
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name):
-    home = _LAZY.get(name)
+    home = _EXPORTS.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "__version__",
-    "Laurent2",
-    "HalfLaurent",
-    "RationalFn",
-    "CycloFraction",
-    "laurent_gcd",
-    "cyclotomic_poly",
-    "reduce_at_root",
-    "root_order",
-    "parse_rational",
-    "parse_laurent2",
-    "parse_half",
-    "braiding_eigenvalue",
-    "projector_trace",
-    "quantum_trace",
-    "lg_closed_2braid",
-    "skein_coefficient_report",
-    "BraidWord",
-    "parse_braid",
-    "OrientedDiagram",
-    "braid_closure",
-    "switch_crossing",
-    "smooth_crossing",
-    "component_count",
-    "is_split",
-    "canonical_key",
-    "Piece",
-    "SlicedDiagram",
-    "to_sliced",
-    "TensorAssignment",
-    "ValidationReport",
-    "validate_assignment",
-    "bracket",
-    "braid_bracket",
-    "scalar_of",
-    "lg11_fixture",
-    "load_fixture",
-    "dump_fixture",
-    "VerificationCell",
-    "ReportDocument",
-    "run_suite",
-    "LinksGouldError",
-    "ParseError",
-    "PoleAtRootError",
-    "BudgetError",
-    "NotScalarError",
-    "FixtureValidationError",
-]
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

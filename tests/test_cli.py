@@ -11,20 +11,15 @@ import pytest
 import linksgould
 from linksgould import cli
 from linksgould.braid import parse_braid
-from linksgould.cli import (
-    MAX_ALEXANDER_STRANDS,
-    MAX_LG_K,
-    MAX_TENSOR_DIM,
-    MAX_TENSOR_LETTERS,
-    MAX_TENSOR_STRANDS,
-    MAX_VERIFY_K,
-    main,
-)
+from linksgould.cli import MAX_ALEXANDER_STRANDS, MAX_LG_K, MAX_VERIFY_K, main
 from linksgould.conway import MAX_SKEIN_CROSSINGS
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
 from linksgould.spectral import MAX_LG_M
 from linksgould.tensor import (
+    MAX_TENSOR_DIM,
+    MAX_TENSOR_LETTERS,
+    MAX_TENSOR_STRANDS,
     TensorAssignment,
     braid_bracket,
     dump_fixture,
@@ -442,19 +437,22 @@ def test_runs_without_site_packages():
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["tensor", "eval", "--braid", "1 1 1"], ""),
+        (["tensor", "eval", "--braid", "1 1 1"], "tensor"),
         (["alexander", "1 1 1"], "conway diagram"),
+        (["lg2braid", "--m", "2", "--k", "3"], "cyclotomic spectral"),
     ],
 )
 def test_command_imports_only_its_engine(argv, loaded):
     # A fresh process that runs one command loads only the engine it needs:
-    # tensor eval loads neither the skein engine, the spectral layer nor
-    # verify, and alexander loads the skein engine alone.
+    # tensor eval loads the tensor engine but not the text grammar, the
+    # cyclotomic reduction, the skein engine, the spectral layer or verify;
+    # alexander loads the skein engine alone, and lg2braid the spectral
+    # layer and the reduction it renders at a root.
     script = (
         "import sys\n"
         "import linksgould, linksgould.cli\n"
         f"linksgould.cli.main({argv!r})\n"
-        "engines = ('conway', 'diagram', 'spectral', 'verify')\n"
+        "engines = ('conway', 'cyclotomic', 'diagram', 'spectral', 'tensor', 'textform', 'verify')\n"
         "print(*[name for name in engines if f'linksgould.{name}' in sys.modules])\n"
     )
     src = str(Path(linksgould.__file__).resolve().parent.parent)
@@ -472,12 +470,14 @@ def test_command_imports_only_its_engine(argv, loaded):
 def test_command_loads_no_heavy_stdlib_module(argv):
     # Without site (python -S), nothing but the package loads these modules:
     # the records are plain slotted classes, not dataclasses (which pull in
-    # inspect), and only evaluate() imports fractions.
+    # inspect), only evaluate() imports fractions, and only the fixture
+    # file functions import json (pathlib, which pulls in ipaddress and
+    # urllib.parse, is not used at all).
     script = (
         "import sys\n"
         "import linksgould, linksgould.cli\n"
         f"linksgould.cli.main({argv!r})\n"
-        "heavy = ('dataclasses', 'inspect', 'fractions', 'typing')\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'typing', 'json', 'pathlib')\n"
         "print(*[name for name in heavy if name in sys.modules])\n"
         "print(repr(linksgould.Laurent2.t(-1).evaluate(2, 1)))\n"
     )

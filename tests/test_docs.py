@@ -50,14 +50,20 @@ def _fresh(script):
 
 
 def test_lazy_exports_resolve_to_their_home_objects():
-    # Some exports load their submodule on first use; each still resolves
-    # to its home module's object, and star-import binds every one.
+    # A bare import loads no submodule but version; every export loads its
+    # submodule on first use, is listed by dir() for tab completion, still
+    # resolves to its home module's object and is then bound in the package,
+    # and star-import binds every one.
     _fresh(
-        "import importlib, linksgould\n"
+        "import importlib, sys, linksgould\n"
+        "loaded = {m for m in sys.modules if m.startswith('linksgould.')}\n"
+        "assert loaded <= {'linksgould.version'}, sorted(loaded)\n"
+        "assert set(linksgould.__all__) <= set(dir(linksgould))\n"
         "for name in linksgould.__all__:\n"
         "    value = getattr(linksgould, name)\n"
         "    home = 'linksgould.version' if name == '__version__' else value.__module__\n"
         "    assert getattr(importlib.import_module(home), name) is value, name\n"
+        "    assert vars(linksgould)[name] is value, name\n"
         "star = {}\n"
         "exec('from linksgould import *', star)\n"
         "assert set(linksgould.__all__) <= set(star)\n"
