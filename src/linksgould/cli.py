@@ -26,12 +26,7 @@ import sys
 from functools import cache
 
 from .braid import parse_braid
-from .errors import (
-    BudgetError,
-    FixtureValidationError,
-    ParseError,
-    PoleAtRootError,
-)
+from .errors import BudgetError, FixtureValidationError, PoleAtRootError
 from .version import __version__
 
 __all__ = ["main"]
@@ -93,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="output variable; auto prints t when possible, s otherwise",
     )
+    p.set_defaults(run=_cmd_alexander)
 
     p = sub.add_parser("lg2braid", help="LG^(m,1) of a closed 2-braid")
     p.add_argument("--m", type=int, required=True)
@@ -103,6 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="evaluate at q = exp(i*pi*ROOT/m) instead of generic q",
     )
+    p.set_defaults(run=_cmd_lg2braid)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")  # checked against verify.SUITES in _cmd_verify
@@ -114,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=argparse.SUPPRESS,  # test mode: corrupt the theorem suites' eigenvalues
     )
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("tensor", help="tensor-engine operations")
     tsub = p.add_subparsers(dest="tensor_command", required=True)
@@ -121,6 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--fixture", default=None, help="fixture JSON (default: built-in LG^(1,1))")
     pe.add_argument("--braid", required=True)
     pe.add_argument("--strands", type=int, default=None)
+    pe.set_defaults(run=_cmd_tensor_eval)
     return parser
 
 
@@ -205,20 +204,15 @@ def _cmd_tensor_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """
+    Run one command and return its exit code.  argparse chooses the
+    command, and the chosen leaf subparser names its handler as ``run``.
+    """
+    args = _build_parser().parse_args(argv)
+    # FixtureValidationError is a ValueError too, so it is caught before
+    # ValueError, which also covers a ParseError.
     try:
-        if args.command == "alexander":
-            return _cmd_alexander(args)
-        if args.command == "lg2braid":
-            return _cmd_lg2braid(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "tensor":
-            return _cmd_tensor_eval(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.run(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -228,7 +222,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

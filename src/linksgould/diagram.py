@@ -44,6 +44,8 @@ class OrientedDiagram(Record):
             for cid, over in comp:
                 seen.setdefault(cid, []).append(over)
         ids = {cid for cid, _ in crossings}
+        if len(ids) != len(crossings):
+            raise ValueError("crossing list names a crossing more than once")
         if set(seen) != ids:
             raise ValueError("passage crossing ids do not match crossing list")
         for cid, flags in seen.items():

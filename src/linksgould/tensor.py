@@ -149,7 +149,8 @@ def _dense(rows: list[State], cols: int) -> Matrix:
 
 # Neither mat_mul nor kron has a library caller: both evaluators move sparse
 # states through ``_apply``.  They stay because the benchmark's tracer binds
-# them by name, and the kernel tests use them as oracles.
+# them by name, and the kernel tests check them against the dense oracles of
+# tests/dense_kernel.py, where they are to move once the tracer wraps _apply.
 def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     a_rows, a_cols = a
     b_rows, b_cols = b

@@ -10,10 +10,14 @@ internal mechanisms (trace vanishing at roots, eigenvalue endpoints,
 skein coefficients, the q = -1 square identity, and the tensor engine
 against the skein engine).
 
-Each suite is a generator that yields its cells in a fixed order, and
-``run_suite`` collects them into a report.  Work shared by cells is done
-in the suite's own loops: the theorem suites compute each skein value once
-per run and reduce each LG value once per root order.
+Each suite is a generator that yields, in a fixed order, what each cell
+compared: ``(params, left, right, passed)``.  A comparison cell goes
+through ``_compared``, which renders both sides and decides by exact
+``==``; a cell that meets a pole, or checks a predicate, yields its own
+text and verdict.  ``run_suite`` builds every ``VerificationCell`` and
+stamps it with the suite's name.  Work shared by cells is done in the
+suite's own loops: the theorem suites compute each skein value once per
+run and reduce each LG value once per root order.
 
 Reports are plain data and serialize to JSON; the comparison payload
 contains no timestamps, so serialized output is stable across runs.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from functools import partial
 from math import gcd
 
 from ._record import Record
@@ -144,7 +149,12 @@ def _corrupted_lg(m: int, k: int) -> RationalFn:
     return quantum_trace(m, xs)
 
 
-def _theorem_suite(suite: str, roots_of, max_m: int, max_k: int, corrupt: bool):
+def _compared(params: dict, left, right) -> tuple:
+    """A comparison cell: both sides rendered, passed only on exact ``==``."""
+    return params, left.render(), right.render(), left == right
+
+
+def _theorem_suite(roots_of, max_m: int, max_k: int, corrupt: bool = False):
     """
     The cells LG^(m,1)(sigma^k) at q = exp(i*pi*r/m) == Delta(sigma^k) at
     s = t^m, for m <= max_m, r in roots_of(m) and |k| <= max_k.
@@ -177,20 +187,9 @@ def _theorem_suite(suite: str, roots_of, max_m: int, max_k: int, corrupt: bool):
                 right = deltas[k].substitute_power(m)
                 base = reduced[d, k]
                 if isinstance(base, str):
-                    yield VerificationCell(suite, params, base, right.render(), False)
-                    continue
-                left = base.conjugate(e)
-                yield VerificationCell(
-                    suite, params, left.render(), right.render(), left == right
-                )
-
-
-def _suite_theorem1(max_m: int, max_k: int, corrupt: bool = False):
-    return _theorem_suite("theorem1", lambda m: [1], max_m, max_k, corrupt)
-
-
-def _suite_theorem2(max_m: int, max_k: int, corrupt: bool = False):
-    return _theorem_suite("theorem2", _valid_roots, max_m, max_k, corrupt)
+                    yield params, base, right.render(), False
+                else:
+                    yield _compared(params, base.conjugate(e), right)
 
 
 def _suite_lemma2_vanishing(max_m: int):
@@ -206,7 +205,7 @@ def _suite_lemma2_vanishing(max_m: int):
                     left = value.render()
                     inner = 0 < i < m
                     right, ok = ("0", value.is_zero()) if inner else ("no pole", True)
-                yield VerificationCell("lemma2-vanishing", params, left, right, ok)
+                yield params, left, right, ok
 
 
 def _suite_xi_endpoints(max_m: int):
@@ -215,8 +214,7 @@ def _suite_xi_endpoints(max_m: int):
         for r in _valid_roots(m):
             lo = reduce_at_root(braiding_eigenvalue(m, 0), m, r)
             hi = -reduce_at_root(braiding_eigenvalue(m, m) ** -1, m, r)
-            yield VerificationCell(
-                "xi-endpoints",
+            yield (
                 {"m": m, "r": r},
                 f"{lo.render()} ; {hi.render()}",
                 f"{tm.render()} ; {tm.render()}",
@@ -241,19 +239,14 @@ def _suite_skein_coefficients(max_m: int):
                 f"product {'0' if row.product.is_zero() else 'NONZERO'}"
                 for row in rows
             )
-            yield VerificationCell(
-                "skein-coefficients", {"m": m, "r": r}, left, right, ok
-            )
+            yield {"m": m, "r": r}, left, right, ok
 
 
 def _suite_lg21_qminus1(max_k: int):
     for k in range(-max_k, max_k + 1):
-        params = {"m": 2, "k": k, "q": -1}
         left = reduce_at_root(lg_closed_2braid(2, k), 1, 1)
         right = reduce_at_root(_delta_2braid(k).substitute_power(1) ** 2, 1, 1)
-        yield VerificationCell(
-            "lg21-qminus1", params, left.render(), right.render(), left == right
-        )
+        yield _compared({"m": 2, "k": k, "q": -1}, left, right)
 
 
 def _suite_tensor_oracle():
@@ -273,8 +266,7 @@ def _suite_tensor_oracle():
     positions = [rng.randint(0, len(w.letters)) for w in words]
 
     report = validate_assignment(fixture)
-    yield VerificationCell(
-        "tensor-oracle",
+    yield (
         {"check": "fixture-validation"},
         "; ".join(c.name for c in report.failures()) or "all checks pass",
         "all checks pass",
@@ -284,9 +276,7 @@ def _suite_tensor_oracle():
         params = {"braid": word.render() or "(empty)", "strands": word.strands}
         left = scalar_of(braid_bracket(word, fixture))
         right = RationalFn(conway(braid_closure(word)).substitute_power(1))
-        yield VerificationCell(
-            "tensor-oracle", params, left.render(), right.render(), left == right
-        )
+        yield _compared(params, left, right)
     for word, pos in zip(words[:5], positions):
         base = scalar_of(braid_bracket(word, fixture))
         grown = BraidWord(
@@ -295,14 +285,12 @@ def _suite_tensor_oracle():
         )
         after = scalar_of(braid_bracket(grown, fixture))
         params = {"braid": word.render() or "(empty)", "rewrite": "RII-insert"}
-        yield VerificationCell(
-            "tensor-oracle", params, after.render(), base.render(), after == base
-        )
+        yield _compared(params, after, base)
 
 
 SUITES = {
-    "theorem1": (_suite_theorem1, {"max_m": 6, "max_k": 6}),
-    "theorem2": (_suite_theorem2, {"max_m": 6, "max_k": 6}),
+    "theorem1": (partial(_theorem_suite, lambda m: [1]), {"max_m": 6, "max_k": 6}),
+    "theorem2": (partial(_theorem_suite, _valid_roots), {"max_m": 6, "max_k": 6}),
     "lemma2-vanishing": (_suite_lemma2_vanishing, {"max_m": 8}),
     "xi-endpoints": (_suite_xi_endpoints, {"max_m": 8}),
     "skein-coefficients": (_suite_skein_coefficients, {"max_m": 8}),
@@ -321,9 +309,12 @@ def run_suite(
     corrupt_eigenvalues: bool = False,
 ) -> ReportDocument:
     """
-    Run one suite and assemble its report.  Cells are evaluated in a
-    deterministic order; a grid with no cells raises ValueError, and so
-    does an option that the suite does not read.
+    Run one suite and assemble its report.  This is the one place that
+    builds a ``VerificationCell``: each ``(params, left, right, passed)``
+    the suite yields becomes a cell stamped with ``name``, in the suite's
+    deterministic order, and a comparison cell has already been decided
+    by exact ``==``.  A grid with no cells raises ValueError, and so does
+    an option that the suite does not read.
     ``corrupt_eigenvalues`` deliberately breaks the spectral side of the
     theorem suites; it exists so the harness itself can be tested, and
     every other suite refuses it.
@@ -343,7 +334,7 @@ def run_suite(
     params = {**defaults, **given}
     started = time.perf_counter()
     corrupt = {"corrupt": True} if corrupt_eigenvalues else {}
-    cells = tuple(build(**params, **corrupt))
+    cells = tuple(VerificationCell(name, *cell) for cell in build(**params, **corrupt))
     if not cells:
         grid = ", ".join(f"{k}={v}" for k, v in params.items())
         raise ValueError(f"suite {name!r} has no cells for {grid}")

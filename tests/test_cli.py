@@ -586,3 +586,20 @@ def test_cached_parser_carries_no_state(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     fresh = [run(capsys, *argv) for argv in MIXED_ARGV]
     assert shared == fresh
+
+
+@pytest.mark.parametrize(
+    "argv, handler",
+    [
+        (["alexander", "1 1 1"], "_cmd_alexander"),
+        (["lg2braid", "--m", "1", "--k", "1"], "_cmd_lg2braid"),
+        (["verify", "theorem1"], "_cmd_verify"),
+        (["tensor", "eval", "--braid", "1"], "_cmd_tensor_eval"),
+    ],
+    ids=["alexander", "lg2braid", "verify", "tensor-eval"],
+)
+def test_subparser_names_its_handler(argv, handler):
+    # main dispatches by the handler the chosen subparser names, with no
+    # second test of the command name.
+    args = cli._build_parser.__wrapped__().parse_args(argv)
+    assert args.run is getattr(cli, handler)

@@ -137,3 +137,7 @@ def test_malformed_diagrams_rejected():
         OrientedDiagram(((0, 1),), (((0, True),),))
     with pytest.raises(ValueError):
         OrientedDiagram(((0, 2),), (((0, True), (0, False)),))
+    # A crossing listed twice, with two signs: sign_of and canonical_key
+    # would read different ones.
+    with pytest.raises(ValueError):
+        OrientedDiagram(((0, 1), (0, -1)), (((0, True), (0, False)),))

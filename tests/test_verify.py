@@ -4,6 +4,8 @@ import pytest
 
 import linksgould.verify
 from linksgould.cli import main
+from linksgould.laurent import Laurent2
+from linksgould.rational import RationalFn
 from linksgould.verify import run_suite
 
 # SHA-256 of `verify <suite> --format json` reports.  The theorem2 one is
@@ -154,3 +156,29 @@ def test_pole_surfaces_as_failure_not_crash():
     report = run_suite("theorem2", max_m=2, max_k=1, corrupt_eigenvalues=True)
     for cell in report.cells:
         assert isinstance(cell.left, str) and isinstance(cell.right, str)
+
+
+@pytest.mark.parametrize(
+    "argv, patched",
+    [
+        (["theorem1", "--max-m", "1"], "lg_closed_2braid"),
+        (["lemma2-vanishing", "--max-m", "1"], "projector_trace"),
+    ],
+    ids=["theorem1", "lemma2-vanishing"],
+)
+def test_pole_cells_fail_with_their_message(monkeypatch, capsys, argv, patched):
+    # 1/(q + 1) has a pole at q = exp(i*pi/1) = -1, the r = 1 root of m = 1:
+    # that cell reads the pole and fails, and the report fails with it.
+    pole = RationalFn(1, Laurent2.q() + 1)
+    monkeypatch.setattr(linksgould.verify, patched, lambda *args: pole)
+    name = argv[0]
+    report = run_suite(name, max_m=1)
+    at_r1 = [c for c in report.cells if c.params["r"] == 1]
+    assert at_r1
+    for cell in at_r1:
+        assert cell.suite == name
+        assert cell.left == "pole at root: denominator vanishes in the quotient by Phi_2(q)"
+        assert not cell.passed
+    assert not report.passed
+    assert main(["verify", *argv]) == 1
+    assert "FAIL" in capsys.readouterr().out
