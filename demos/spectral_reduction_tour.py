@@ -60,7 +60,7 @@ for i in range(m + 1):
 # vanish.  For m >= 2 an inner raw coefficient survives, which is exactly
 # why no order-two identity holds before taking traces.
 print("\nskein coefficient report (m = 2, r = 1):")
-for row in skein_coefficient_report(m, 1):
-    raw = "0" if row.raw.is_zero() else str(row.raw)
-    prod = "0" if row.product.is_zero() else str(row.product)
-    print(f"  i={row.i}: raw = {raw:>12}   raw * trace = {prod}")
+for i, (raw, product) in enumerate(skein_coefficient_report(m, 1)):
+    raw = "0" if raw.is_zero() else str(raw)
+    prod = "0" if product.is_zero() else str(product)
+    print(f"  i={i}: raw = {raw:>12}   raw * trace = {prod}")

@@ -58,7 +58,6 @@ _EXPORTS = {
     "SlicedDiagram": "sliced",
     "to_sliced": "sliced",
     "TensorAssignment": "tensor",
-    "ValidationReport": "tensor",
     "validate_assignment": "tensor",
     "bracket": "tensor",
     "braid_bracket": "tensor",

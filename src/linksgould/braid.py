@@ -2,9 +2,9 @@
 Braid words and the rewrites used to probe invariance.
 
 The text grammar is deliberately tiny: a braid word is whitespace-
-separated nonzero decimal integers, where k > 0 means the k-th positive
-generator and k < 0 its inverse.  The strand count defaults to one more
-than the largest index used.
+separated nonzero ASCII decimal integers, where k > 0 means the k-th
+positive generator and k < 0 its inverse.  The strand count defaults to
+one more than the largest index used.
 """
 from __future__ import annotations
 
@@ -109,6 +109,8 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     top = 0
     for token in text.split():
         try:
+            if not token.isascii() or "_" in token:
+                raise ValueError  # int() reads "1_0" and non-ASCII digits too
             k = int(token)
         except ValueError:
             raise ParseError(f"braid letter {token!r} is not an integer") from None

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._record import Record
 from .cyclotomic import CycloFraction, reduce_at_root
 from .laurent import Laurent2
 from .rational import RationalFn
@@ -29,7 +28,6 @@ __all__ = [
     "projector_trace",
     "quantum_trace",
     "lg_closed_2braid",
-    "SkeinCoefficient",
     "skein_coefficient_report",
 ]
 
@@ -169,22 +167,11 @@ def lg_closed_2braid(m: int, k: int) -> RationalFn:
     return quantum_trace(m, [braiding_eigenvalue(m, i) ** k for i in range(m + 1)])
 
 
-class SkeinCoefficient(Record, eq=False):
-    """One row of the skein-coefficient report (see below)."""
-
-    __slots__ = ("i", "raw", "product")
-
-    def __init__(self, i: int, raw: CycloFraction, product: CycloFraction):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "product", product)
-
-
-def skein_coefficient_report(m: int, r: int = 1) -> tuple[SkeinCoefficient, ...]:
+def skein_coefficient_report(m: int, r: int = 1) -> tuple[tuple[CycloFraction, CycloFraction], ...]:
     """
-    At q = exp(i*pi*r/m), tabulate for each i the coefficient
-    (xi_i - xi_i^-1) - (t^m - t^-m) and its product with the reduced
-    projector trace.
+    At q = exp(i*pi*r/m), tabulate for each i, as the pair (raw, product),
+    the coefficient raw = (xi_i - xi_i^-1) - (t^m - t^-m) and its product
+    with the reduced projector trace.
 
     Every product vanishes: that is the mechanism by which the reduced
     invariant satisfies the order-two skein relation even though, for
@@ -195,9 +182,7 @@ def skein_coefficient_report(m: int, r: int = 1) -> tuple[SkeinCoefficient, ...]
     tm = Laurent2.t(m) - Laurent2.t(-m)
     rows = []
     for i in range(m + 1):
-        xi = reduce_at_root(braiding_eigenvalue(m, i), m, r)
-        xi_inv = reduce_at_root(braiding_eigenvalue(m, i) ** -1, m, r)
-        raw = xi - xi_inv - tm
-        product = raw * reduce_at_root(projector_trace(m, i), m, r)
-        rows.append(SkeinCoefficient(i=i, raw=raw, product=product))
+        xi = braiding_eigenvalue(m, i)
+        raw = reduce_at_root(xi, m, r) - reduce_at_root(xi ** -1, m, r) - tm
+        rows.append((raw, raw * reduce_at_root(projector_trace(m, i), m, r)))
     return tuple(rows)

@@ -12,6 +12,9 @@ strand (first move), and the four zigzags straighten (planar isotopy):
 
     n  . u~ = id      u  . n~ = id      n~ . u  = id      u~ . n  = id
 
+It returns a plain dict from each failing axiom's name to a witness
+entry, so a valid fixture gives ``{}``.
+
 The bracket of a braid closure sliced as a (1,1)-tangle is a scalar
 times the identity, and that scalar is the link invariant of the closure.
 
@@ -67,8 +70,6 @@ from .sliced import Piece, SlicedDiagram
 
 __all__ = [
     "TensorAssignment",
-    "ValidationCheck",
-    "ValidationReport",
     "validate_assignment",
     "bracket",
     "braid_bracket",
@@ -268,36 +269,6 @@ class TensorAssignment(Record):
     def _one(self) -> Entry:
         """The 1 that every state starts from, as the pieces hold it."""
         return self._pieces[Piece.ID_UP][0][0][0][1]
-
-
-class ValidationCheck(Record):
-    __slots__ = ("name", "passed", "witness")
-
-    def __init__(self, name: str, passed: bool, witness: str | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
-
-
-class ValidationReport(Record):
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[ValidationCheck, ...]):
-        object.__setattr__(self, "checks", checks)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
-            + (f"  [{c.witness}]" if c.witness else "")
-            for c in self.checks
-        )
 
 
 def bracket(d: SlicedDiagram, a: TensorAssignment) -> Matrix:
@@ -511,18 +482,20 @@ def _check_validation_size(a: TensorAssignment) -> None:
                 raise BudgetError(f"fixture check {name}: {exc}") from None
 
 
-def validate_assignment(a: TensorAssignment) -> ValidationReport:
-    """Check every isotopy, reporting a witness entry for each failure."""
-    checks: list[ValidationCheck] = []
+def validate_assignment(a: TensorAssignment) -> dict[str, str]:
+    """
+    Check every isotopy.  Each failing axiom, in ``_ISOTOPIES`` order, maps
+    to a witness entry, ``"entry (i,j): got ..., want ..."``; a valid
+    fixture gives ``{}``.
+    """
+    failures = {}
     for name, lhs, rhs in _ISOTOPIES:
         got, want = bracket(lhs, a), bracket(rhs, a)
         where = _first_mismatch(got, want)
-        witness = None
         if where is not None:
             i, j = where
-            witness = f"entry ({i},{j}): got {got[i][j]}, want {want[i][j]}"
-        checks.append(ValidationCheck(name, where is None, witness))
-    return ValidationReport(tuple(checks))
+            failures[name] = f"entry ({i},{j}): got {got[i][j]}, want {want[i][j]}"
+    return failures
 
 
 # -- the shipped LG(1,1) assignment ----------------------------------------
@@ -633,8 +606,7 @@ def load_fixture(path: str | os.PathLike) -> TensorAssignment:
     except ValueError as exc:
         raise FixtureValidationError(str(exc)) from exc
     _check_validation_size(a)
-    report = validate_assignment(a)
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failures())
-        raise FixtureValidationError(f"fixture fails validation: {names}")
+    failures = validate_assignment(a)
+    if failures:
+        raise FixtureValidationError(f"fixture fails validation: {', '.join(failures)}")
     return a

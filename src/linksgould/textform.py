@@ -12,7 +12,10 @@ Alexander-Conway values use the variables ``s`` and ``t`` with t = s^2.
 
 Every operation is bounded: before it runs, the parser bounds the size of
 its result by the operands' lowest and highest exponents, and refuses it
-with BudgetError when that size exceeds ``MAX_EXPRESSION_TERMS``.
+with BudgetError when that size exceeds ``MAX_EXPRESSION_TERMS``.  So is
+the nesting: an expression deeper than ``MAX_EXPRESSION_DEPTH`` levels of
+parentheses and unary minus signs is refused with BudgetError before the
+parser recurses past it.  Numbers are ASCII decimal digits.
 """
 from __future__ import annotations
 
@@ -37,6 +40,10 @@ __all__ = ["parse_rational", "parse_laurent2", "parse_half"]
 # points); with only R[0][0] written so for X = t+q+1, it takes 0.35 s at
 # n = 20 and 1.7 s at n = 32 (2-core x86, Python 3.11.7).
 MAX_EXPRESSION_TERMS = 200
+# The parser recurses once per unary minus and about five times per
+# parenthesis; unbounded, 200 parentheses overflowed Python's stack.  The
+# renderers write at most two levels.
+MAX_EXPRESSION_DEPTH = 50
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -83,7 +90,7 @@ def _check_size(num: Box | None, den: Box | None) -> None:
         )
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z])|(\^|\*|/|\+|-|\(|\)))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([a-zA-Z])|(\^|\*|/|\+|-|\(|\)))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -114,6 +121,7 @@ class _Parser:
         self.variables = variables
         self.const = const
         self.allow_div = allow_div
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -156,11 +164,23 @@ class _Parser:
             else:
                 return value
 
+    def nested(self, inner):
+        """inner(), one level deeper, refused before it runs past MAX_EXPRESSION_DEPTH."""
+        if self.depth == MAX_EXPRESSION_DEPTH:
+            raise BudgetError(
+                f"an expression nests deeper than the bound of {MAX_EXPRESSION_DEPTH} "
+                "levels of parentheses and signs"
+            )
+        self.depth += 1
+        value = inner()
+        self.depth -= 1
+        return value
+
     def unary(self):
         tok = self.peek()
         if tok == ("op", "-"):
             self.take()
-            return -self.unary()
+            return -self.nested(self.unary)
         return self.power()
 
     def power(self):
@@ -207,7 +227,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}")
             return self.variables[text]()
         if tok == ("op", "("):
-            value = self.expr()
+            value = self.nested(self.expr)
             if self.take() != ("op", ")"):
                 raise ParseError("missing closing parenthesis")
             return value

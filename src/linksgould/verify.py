@@ -13,11 +13,13 @@ against the skein engine).
 Each suite is a generator that yields, in a fixed order, what each cell
 compared: ``(params, left, right, passed)``.  A comparison cell goes
 through ``_compared``, which renders both sides and decides by exact
-``==``; a cell that meets a pole, or checks a predicate, yields its own
-text and verdict.  ``run_suite`` builds every ``VerificationCell`` and
-stamps it with the suite's name.  Work shared by cells is done in the
-suite's own loops: the theorem suites compute each skein value once per
-run and reduce each LG value once per root order.
+``==``; a side that could not be formed, at a pole or where a bracket is
+not scalar, is passed as its message, and the cell fails.  A cell that
+checks a predicate yields its own text and verdict.  ``run_suite``
+builds every ``VerificationCell`` and stamps it with the suite's name.
+Work shared by cells is done in the suite's own loops: the theorem
+suites compute each skein value once per run and reduce each LG value
+once per root order.
 
 Reports are plain data and serialize to JSON; the comparison payload
 contains no timestamps, so serialized output is stable across runs.
@@ -35,7 +37,7 @@ from .braid import BraidWord
 from .conway import conway
 from .cyclotomic import CycloFraction, _root_power, reduce_at_root
 from .diagram import braid_closure
-from .errors import PoleAtRootError
+from .errors import NotScalarError, PoleAtRootError
 from .laurent import HalfLaurent, Laurent2
 from .rational import RationalFn
 from .spectral import (
@@ -150,8 +152,14 @@ def _corrupted_lg(m: int, k: int) -> RationalFn:
 
 
 def _compared(params: dict, left, right) -> tuple:
-    """A comparison cell: both sides rendered, passed only on exact ``==``."""
-    return params, left.render(), right.render(), left == right
+    """
+    A comparison cell: both sides rendered, passed only on exact ``==``.
+    A side that is text is the message of a value that could not be
+    formed, a pole or a bracket that is not scalar, and its cell fails.
+    """
+    texts = [x if isinstance(x, str) else x.render() for x in (left, right)]
+    formed = not isinstance(left, str) and not isinstance(right, str)
+    return params, *texts, formed and left == right
 
 
 def _theorem_suite(roots_of, max_m: int, max_k: int, corrupt: bool = False):
@@ -184,12 +192,9 @@ def _theorem_suite(roots_of, max_m: int, max_k: int, corrupt: bool = False):
             d, e = _root_power(m, r)
             for k in ks:
                 params = {"m": m, "r": r, "k": k}
-                right = deltas[k].substitute_power(m)
                 base = reduced[d, k]
-                if isinstance(base, str):
-                    yield params, base, right.render(), False
-                else:
-                    yield _compared(params, base.conjugate(e), right)
+                left = base if isinstance(base, str) else base.conjugate(e)
+                yield _compared(params, left, deltas[k].substitute_power(m))
 
 
 def _suite_lemma2_vanishing(max_m: int):
@@ -226,18 +231,18 @@ def _suite_skein_coefficients(max_m: int):
     for m in range(1, max_m + 1):
         for r in _valid_roots(m):
             rows = skein_coefficient_report(m, r)
-            products_zero = all(row.product.is_zero() for row in rows)
+            products_zero = all(product.is_zero() for _, product in rows)
             if m >= 2:
-                witness = any(not rows[i].raw.is_zero() for i in range(1, m))
+                witness = any(not raw.is_zero() for raw, _ in rows[1:m])
                 ok = products_zero and witness
                 right = "all products 0; some inner raw coefficient nonzero"
             else:
-                ok = products_zero and all(row.raw.is_zero() for row in rows)
+                ok = products_zero and all(raw.is_zero() for raw, _ in rows)
                 right = "all products 0; all raw coefficients 0"
             left = "; ".join(
-                f"i={row.i}: raw {'0' if row.raw.is_zero() else 'nonzero'}, "
-                f"product {'0' if row.product.is_zero() else 'NONZERO'}"
-                for row in rows
+                f"i={i}: raw {'0' if raw.is_zero() else 'nonzero'}, "
+                f"product {'0' if product.is_zero() else 'NONZERO'}"
+                for i, (raw, product) in enumerate(rows)
             )
             yield {"m": m, "r": r}, left, right, ok
 
@@ -265,27 +270,31 @@ def _suite_tensor_oracle():
     # the pinned report.
     positions = [rng.randint(0, len(w.letters)) for w in words]
 
-    report = validate_assignment(fixture)
+    failures = validate_assignment(fixture)
     yield (
         {"check": "fixture-validation"},
-        "; ".join(c.name for c in report.failures()) or "all checks pass",
+        "; ".join(failures) or "all checks pass",
         "all checks pass",
-        report.ok,
+        not failures,
     )
+
+    def scalar(word):
+        try:
+            return scalar_of(braid_bracket(word, fixture))
+        except NotScalarError as exc:
+            return f"not scalar: {exc}"
+
     for word in words:
         params = {"braid": word.render() or "(empty)", "strands": word.strands}
-        left = scalar_of(braid_bracket(word, fixture))
         right = RationalFn(conway(braid_closure(word)).substitute_power(1))
-        yield _compared(params, left, right)
+        yield _compared(params, scalar(word), right)
     for word, pos in zip(words[:5], positions):
-        base = scalar_of(braid_bracket(word, fixture))
         grown = BraidWord(
             word.strands,
             word.letters[:pos] + ((1, 1), (1, -1)) + word.letters[pos:],
         )
-        after = scalar_of(braid_bracket(grown, fixture))
         params = {"braid": word.render() or "(empty)", "rewrite": "RII-insert"}
-        yield _compared(params, after, base)
+        yield _compared(params, scalar(grown), scalar(word))
 
 
 SUITES = {

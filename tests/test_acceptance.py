@@ -125,9 +125,9 @@ def test_criterion_7_skein_coefficients():
     for m in range(1, 9):
         for r in valid_roots(m):
             rows = skein_coefficient_report(m, r)
-            if not all(row.product.is_zero() for row in rows):
+            if not all(product.is_zero() for _, product in rows):
                 ok = False
-            if m >= 2 and not any(not rows[i].raw.is_zero() for i in range(1, m)):
+            if m >= 2 and not any(not raw.is_zero() for raw, _ in rows[1:m]):
                 ok = False
     _report(7, "skein coefficients: all products 0, inner raw nonzero for m>=2", ok)
 
@@ -204,7 +204,7 @@ def test_criterion_8_skein_engine_properties():
 
 def test_criterion_9_tensor_oracle():
     fx = lg11_fixture()
-    ok = validate_assignment(fx).ok
+    ok = validate_assignment(fx) == {}
     rng = random.Random(90212)
     for _ in range(20):
         n = rng.randint(2, 3)

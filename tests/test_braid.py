@@ -26,6 +26,11 @@ def test_parse_errors():
         parse_braid("one two")
     with pytest.raises(ParseError):
         parse_braid("1", strands=0)
+    # Letters are ASCII decimal integers: int() alone would read these.
+    for bad in ["1_0", "1 -1_0", "\u0661", "1 \u0662", "\uff11", "_1"]:
+        with pytest.raises(ParseError, match="is not an integer"):
+            parse_braid(bad)
+    assert parse_braid("+1 -1") == parse_braid("1 -1")
 
 
 def test_render_round_trip():

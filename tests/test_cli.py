@@ -231,6 +231,25 @@ def test_fixture_entry_size_bound(capsys, tmp_path, entry):
     assert "above the bound of 200" in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["(" * 200 + "t" + ")" * 200, "(" * 51 + "t" + ")" * 51, "-" * 2000 + "t"],
+    ids=["200-parentheses", "51-parentheses", "2000-signs"],
+)
+def test_fixture_entry_depth_bound(capsys, tmp_path, entry):
+    # Each entry has the value t of R[0][0], or -t, nested past the text
+    # grammar's depth bound; it is refused while parsing, not by a crash.
+    path = tmp_path / "lg11.json"
+    dump_fixture(lg11_fixture(), path)
+    doc = json.loads(path.read_text())
+    doc["R"][0][0] = entry
+    path.write_text(json.dumps(doc))
+    err = run_over_bound(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 1 1")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nests deeper than the bound of 50" in err
+    assert "Traceback" not in err
+
+
 def write_fixture(path, entry):
     """The LG^(1,1) fixture as JSON, each nonzero entry e of piece p as entry(p, e)."""
     dump_fixture(lg11_fixture(), path)

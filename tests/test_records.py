@@ -7,17 +7,9 @@ import pytest
 from dense_kernel import rebuilt
 
 from linksgould.braid import BraidWord, parse_braid
-from linksgould.cyclotomic import CycloFraction
 from linksgould.diagram import OrientedDiagram, braid_closure
-from linksgould.laurent import Laurent2
 from linksgould.sliced import SlicedDiagram, to_sliced
-from linksgould.spectral import SkeinCoefficient
-from linksgould.tensor import (
-    TensorAssignment,
-    ValidationCheck,
-    ValidationReport,
-    lg11_fixture,
-)
+from linksgould.tensor import TensorAssignment, lg11_fixture
 from linksgould.verify import ReportDocument, VerificationCell
 
 MATRICES = ("R", "Rinv", "n", "ntilde", "u", "utilde")
@@ -25,11 +17,6 @@ MATRICES = ("R", "Rinv", "n", "ntilde", "u", "utilde")
 
 def cell():
     return VerificationCell("theorem2", {"m": 1, "k": 3}, "t - t^-1", "t - t^-1", True)
-
-
-def skein_row():
-    x = CycloFraction(4, Laurent2.q())
-    return SkeinCoefficient(1, x, x * x)
 
 
 # name -> (a fresh record, a fresh record equal in every field, one that differs)
@@ -54,20 +41,9 @@ VALUE_RECORDS = {
         lambda: rebuilt(lg11_fixture()),
         lambda: TensorAssignment(1, ((1,),), ((1,),), ((1,),), ((1,),), ((1,),), ((1,),)),
     ),
-    "ValidationCheck": (
-        lambda: ValidationCheck("R3", False, "[0][1]"),
-        lambda: ValidationCheck(name="R3", passed=False, witness="[0][1]"),
-        lambda: ValidationCheck("R3", False),
-    ),
-    "ValidationReport": (
-        lambda: ValidationReport((ValidationCheck("R2", True),)),
-        lambda: ValidationReport(checks=(ValidationCheck("R2", True, None),)),
-        lambda: ValidationReport((ValidationCheck("R2", False),)),
-    ),
 }
 
 IDENTITY_RECORDS = {
-    "SkeinCoefficient": skein_row,
     "VerificationCell": cell,
     "ReportDocument": lambda: ReportDocument("0", "theorem2", (cell(),), 0.5),
 }
@@ -82,9 +58,6 @@ FIELDS = {
     "SlicedDiagram": ("rows",),
     "OrientedDiagram": ("crossings", "components"),
     "TensorAssignment": ("dim",) + MATRICES,
-    "ValidationCheck": ("name", "passed", "witness"),
-    "ValidationReport": ("checks",),
-    "SkeinCoefficient": ("i", "raw", "product"),
     "VerificationCell": ("suite", "params", "left", "right", "passed"),
     "ReportDocument": ("version", "suite", "cells", "elapsed_seconds"),
 }
@@ -146,11 +119,6 @@ def test_positional_and_keyword_construction_agree(name):
         assert all(x is y for x, y in zip(values(built), values(record)))
 
 
-def test_validation_check_witness_defaults_to_none():
-    assert ValidationCheck("R2", True).witness is None
-    assert ValidationCheck(name="R2", passed=True) == ValidationCheck("R2", True, None)
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -173,15 +141,10 @@ def test_construction_checks_raise_value_error(build):
 
 def test_repr_names_every_field():
     assert repr(BraidWord(2, ((1, 1),))) == "BraidWord(strands=2, letters=((1, 1),))"
-    assert repr(ValidationCheck("R2", True)) == "ValidationCheck(name='R2', passed=True, witness=None)"
-    assert repr(ValidationCheck("R3", False, "[0][1]")) == (
-        "ValidationCheck(name='R3', passed=False, witness='[0][1]')"
-    )
 
 
 @pytest.mark.parametrize(
-    "name", ["BraidWord", "SlicedDiagram", "OrientedDiagram", "ValidationCheck", "ValidationReport",
-             "VerificationCell", "ReportDocument"],
+    "name", ["BraidWord", "SlicedDiagram", "OrientedDiagram", "VerificationCell", "ReportDocument"],
 )
 def test_records_copy_and_pickle(name):
     record = RECORDS[name]()

@@ -6,6 +6,7 @@ from linksgould.errors import BudgetError, ParseError
 from linksgould.laurent import HalfLaurent, Laurent2
 from linksgould.rational import RationalFn
 from linksgould.textform import (
+    MAX_EXPRESSION_DEPTH,
     MAX_EXPRESSION_TERMS,
     parse_half,
     parse_laurent2,
@@ -75,7 +76,8 @@ def test_parser_flexibility():
 
 
 def test_parse_errors():
-    for bad in ["", "t +", "t^", "t^x", "(t", "t)", "1 $ 2", "y + 1"]:
+    # Numbers are ASCII decimal: no other digits, no underscores.
+    for bad in ["", "t +", "t^", "t^x", "(t", "t)", "1 $ 2", "y + 1", "t^\u0662", "\u0661", "1_0", "t^1_0"]:
         with pytest.raises(ParseError):
             parse_rational(bad)
     with pytest.raises(ParseError):
@@ -108,6 +110,28 @@ def test_expression_size_bound():
     with pytest.raises(BudgetError):
         parse_half(f"(s+1)^{n + 1}")
     assert parse_rational("t^99999999999999999999") == RationalFn(t(10**20 - 1))
+
+
+def test_expression_depth_bound():
+    # Each parenthesis and each unary minus is one level; the deepest
+    # expression within the bound parses, and one level more is refused
+    # before the parser recurses into it, however deep the input goes.
+    d = MAX_EXPRESSION_DEPTH
+    assert parse_rational("(" * d + "t" + ")" * d) == RationalFn(t())
+    assert parse_rational("-" * d + "t") == RationalFn(t())
+    assert parse_rational("-(" * (d // 2) + "t" + ")" * (d // 2)) == RationalFn(-t())
+    assert parse_half("(" * d + "s" + ")" * d) == HalfLaurent.s()
+    for text in [
+        "(" * (d + 1) + "t" + ")" * (d + 1),
+        "-" * (d + 1) + "t",
+        "-(" * (d // 2) + "-t" + ")" * (d // 2),
+        "(" * 200 + "t" + ")" * 200,
+        "-" * 5000 + "t",
+    ]:
+        with pytest.raises(BudgetError, match="nests deeper than the bound of"):
+            parse_rational(text)
+    with pytest.raises(BudgetError):
+        parse_half("(" * (d + 1) + "s" + ")" * (d + 1))
 
 
 def test_half_grammar_variables():

@@ -1,7 +1,9 @@
 import hashlib
 
 import pytest
+from dense_kernel import rebuilt
 
+import linksgould.spectral
 import linksgould.verify
 from linksgould.cli import main
 from linksgould.laurent import Laurent2
@@ -182,3 +184,76 @@ def test_pole_cells_fail_with_their_message(monkeypatch, capsys, argv, patched):
     assert not report.passed
     assert main(["verify", *argv]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def scaled_lg11(**changes):
+    """LG^(1,1) built again with each named matrix's entries times a factor."""
+    fx = linksgould.verify.lg11_fixture()
+    return rebuilt(
+        fx,
+        **{
+            name: tuple(tuple(x * factor for x in row) for row in getattr(fx, name))
+            for name, factor in changes.items()
+        },
+    )
+
+
+def test_tensor_oracle_fails_a_framing_scaled_fixture(monkeypatch, capsys):
+    # R times t and Rinv times t^-1 keep the braid relations, but the
+    # closure of R or Rinv is no longer one strand, and each bracket picks
+    # up t^writhe: a braid of nonzero writhe fails its skein comparison.
+    t = RationalFn(Laurent2.t())
+    fx = scaled_lg11(R=t, Rinv=t ** -1)
+    monkeypatch.setattr(linksgould.verify, "lg11_fixture", lambda: fx)
+    report = run_suite("tensor-oracle")
+    check = report.cells[0]
+    assert check.params == {"check": "fixture-validation"}
+    assert check.left == "cl_R_is_identity; cl_Rinv_is_identity"
+    assert check.right == "all checks pass"
+    assert not check.passed
+    assert report.counts == {"total": 26, "failed": 16}
+    assert main(["verify", "tensor-oracle"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_skein_coefficients_fail_a_rescaled_eigenvalue(monkeypatch, capsys):
+    # xi_0 times t^2 no longer cancels t^m - t^-m, and its trace does not
+    # vanish at the root, so every cell fails at i = 0.
+    spectral = linksgould.spectral
+    true_xi = spectral.braiding_eigenvalue
+
+    def rescaled(m, i):
+        xi = true_xi(m, i)
+        return xi * Laurent2.t(2) if i == 0 else xi
+
+    monkeypatch.setattr(spectral, "braiding_eigenvalue", rescaled)
+    report = run_suite("skein-coefficients", max_m=2)
+    assert report.cells
+    for cell in report.cells:
+        assert cell.left.startswith("i=0: raw nonzero, product NONZERO")
+        assert not cell.passed
+    assert main(["verify", "skein-coefficients", "--max-m", "2"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_tensor_oracle_reports_a_non_scalar_bracket(monkeypatch, capsys):
+    # With R[0][0] = t^-1 the bracket of a closure is no longer a scalar;
+    # each such comparison is a failing cell that reads the message, and
+    # the report is still printed.
+    fx = linksgould.verify.lg11_fixture()
+    rows = [list(row) for row in fx.R]
+    rows[0][0] = RationalFn(Laurent2.t(-1))
+    broken = rebuilt(fx, R=tuple(map(tuple, rows)))
+    monkeypatch.setattr(linksgould.verify, "lg11_fixture", lambda: broken)
+    report = run_suite("tensor-oracle")
+    assert report.cells[0].left == "R_times_Rinv; yang_baxter; cl_R_is_identity"
+    assert not report.cells[0].passed
+    not_scalar = [c for c in report.cells if c.left.startswith("not scalar: ")]
+    assert not_scalar
+    assert "diagonal entry (1,1) is 1, expected -t^2 + 1 + t^-4" in {
+        c.left.removeprefix("not scalar: ") for c in not_scalar
+    }
+    assert not any(c.passed for c in not_scalar)
+    assert main(["verify", "tensor-oracle"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and captured.err == ""
