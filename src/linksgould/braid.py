@@ -95,6 +95,44 @@ class BraidWord(Record):
             return None
         return BraidWord(self.strands, w[:pos] + ((b, sb), (a, sa)) + w[pos + 2 :])
 
+    def reduced(self) -> BraidWord:
+        """
+        A shorter word with the same closure: cancel s_i^e ... s_i^-e
+        whenever every letter between them commutes with s_i (|j - i| >= 2),
+        then remove the last strand while s_{n-1} occurs exactly once
+        (Markov destabilisation), cancelling again after each removal.
+        The result is its own reduction and never longer or wider.
+
+        >>> parse_braid("2 1 3 -1 3 1").reduced().render()
+        '2 3 3 1'
+        >>> parse_braid("1 -2 1 3").reduced()
+        BraidWord(strands=2, letters=((1, 1), (1, 1)))
+        """
+        n, letters = self.strands, _cancelled(self.letters)
+        while n > 1 and sum(i == n - 1 for i, _ in letters) == 1:
+            letters = _cancelled([x for x in letters if x[0] != n - 1])
+            n -= 1
+        return BraidWord(n, tuple(letters))
+
+
+def _cancelled(letters) -> list[tuple[int, int]]:
+    """
+    The letters with every cancelling pair removed: each letter looks back
+    past the letters that commute with it and cancels the first one left
+    if that is its inverse.  A removal leaves no new pair to cancel, since
+    every letter after the removed one commutes with it.
+    """
+    out: list[tuple[int, int]] = []
+    for idx, sign in letters:
+        pos = len(out) - 1
+        while pos >= 0 and abs(out[pos][0] - idx) >= 2:
+            pos -= 1
+        if pos >= 0 and out[pos] == (idx, -sign):
+            del out[pos]
+        else:
+            out.append((idx, sign))
+    return out
+
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """

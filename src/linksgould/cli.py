@@ -39,11 +39,14 @@ __all__ = ["main"]
 # bounds, MAX_TENSOR_STRANDS, MAX_TENSOR_LETTERS and MAX_TENSOR_DIM, are
 # defined in tensor.py, where load_fixture refuses a fixture too wide to
 # validate before any check runs; tensor eval checks strands and letters
-# before it loads a fixture, then bounds the braid's width D^(2n-1).  On
-# LG^(1,1) an 8-letter braid takes 5 ms at that bound of 6 strands and
-# 10-12 ms on 7; the bound stays until a wider fixture sets it.  A 6-strand
-# braid at the bound of 100 letters took 0.55-2.3 s.  The skein engine's
-# crossing bound, MAX_SKEIN_CROSSINGS, is defined in conway.py.
+# before it loads a fixture, then bounds the braid's width D^(2n-1), all on
+# the word as typed, and then evaluates the reduced word.  On LG^(1,1) a
+# random 8-letter braid takes 0.2-1.8 ms at that bound of 6 strands, and
+# one that uses every generator 2 ms, against 3-6 ms on 7; the bound
+# stays until a wider fixture sets it.  At the bound of 100 letters a
+# random 6-strand braid took 0.16-0.49 s, and 1 -2 3 -4 5 repeated, which
+# does not reduce, 1.6 s.  The skein engine's crossing bound,
+# MAX_SKEIN_CROSSINGS, is defined in conway.py.
 MAX_ALEXANDER_STRANDS = 1000
 # lg2braid takes |--k| up to MAX_LG_K.  Its cost in |k| depends on m: at
 # m = 16 it hardly grows (|k| = 300: 2.6 s, 86 MB; 10^6: 2.5 s, 88 MB), at
@@ -198,7 +201,9 @@ def _cmd_tensor_eval(args) -> int:
         fixture.dim ** (2 * word.strands - 1),
         tensor.MAX_TENSOR_DIM,
     )
-    value = tensor.scalar_of(tensor.braid_bracket(word, fixture))
+    # Every fixture here has passed validation, which makes the reduced
+    # word's bracket equal the typed word's entry for entry.
+    value = tensor.scalar_of(tensor.braid_bracket(word.reduced(), fixture))
     print(value.render())
     return 0
 

@@ -40,7 +40,9 @@ and takes the closing strands 2..n as a partial trace weighted by their
 cup and cap.  The closing weights are formed once per braid, and a start
 state whose weight row is empty is never evolved.  Its cost is D^n start
 states times letters times state size, where the sliced closure is
-D^(2n-1) wide.
+D^(2n-1) wide.  A braid that never uses some generator is cut there into
+blocks, each evolved on its own strands: the block holding strand 1 gives
+the bracket and every other block a scalar factor, its closed value.
 
 Everything is exact.  Matrices are dense at the edges: fixture fields
 and the results of ``bracket`` and ``braid_bracket`` are full tuples of
@@ -88,20 +90,24 @@ _ONE = RationalFn.one()
 # Input bounds; the CLI exits 3 on going over one.  With D basis states per
 # strand, ``braid_bracket`` evolves D^n start states on n strands, each
 # through every letter, and a state holds at most D^n entries.  For
-# LG^(1,1) an 8-letter braid takes 3-4 ms on 5 strands, 5 ms on 6,
-# 10-12 ms on 7, 0.02 s on 8 and, with a 12-letter braid, 0.23-0.25 s on
-# 10 and 0.8-1.1 s on 12, each peaking at 17 MB (shared 2-core x86
-# machine, Python 3.11.7).  Validating a fixture spans D^3 dimensions at
-# a cost of about D^6 (D = 10: 1.4 s).  Both widths are bounded by that of
-# LG^(1,1) (D = 2) at MAX_TENSOR_STRANDS, with D^(2n-1) the width of the
-# sliced closure; a wider fixture, such as LG^(2,1)'s D = 4, will set them.
+# LG^(1,1), random braids that use every generator, so that none splits,
+# take 1-2 ms with 8 letters on 5 or 6 strands, 3-6 ms on 7 and 9-10 ms
+# on 8, and with 12 letters 0.08-0.11 s on 10 and 0.34-0.43 s on 12, each
+# peaking at 16 MB (shared 2-core x86 machine, Python 3.11.7).  Validating
+# a fixture spans D^3 dimensions at a cost of about D^6 (D = 10: 1.4 s).
+# Both widths are bounded by that of LG^(1,1) (D = 2) at
+# MAX_TENSOR_STRANDS, with D^(2n-1) the width of the sliced closure; a
+# wider fixture, such as LG^(2,1)'s D = 4, will set them.
 MAX_TENSOR_STRANDS = 6
 MAX_TENSOR_DIM = 2 ** (2 * MAX_TENSOR_STRANDS - 1)
 # The entries grow with the letters, so the cost grows faster than
-# linearly in them: on 6 strands, random LG^(1,1) braids of 100 letters
-# took 0.55-0.87 s, of 150 letters 1.2-1.6 s and of 200 letters 2.8-3.5 s;
-# the slowest braid tried, 1 -2 3 -4 5 repeated, took 1.7-2.3 s at 100
-# letters and 3.4-3.7 s at 128.
+# linearly in them: on 6 strands, braid_bracket took 0.38-0.69 s on random
+# LG^(1,1) braids of 100 letters, 0.9-1.1 s on 150 and 1.6-2.8 s on 200.
+# The bound holds for the word as typed, and tensor eval evaluates its
+# reduction (BraidWord.reduced): random 100-letter words reduced to 52-76
+# letters and took 0.16-0.49 s through the CLI.  A word that does not
+# reduce sets the worst case: 1 -2 3 -4 5 repeated took 1.8-1.9 s at 100
+# letters (1.6 s through the CLI) and 2.0-2.1 s at 125.
 MAX_TENSOR_LETTERS = 100
 
 
@@ -302,8 +308,53 @@ def braid_bracket(word: BraidWord, a: TensorAssignment) -> Matrix:
     through and strands 2..n close to the right.  It equals
     ``bracket(to_sliced(word, keep_open=True), a)`` entry for entry, but
     evolves the n upward strands only, rather than the D^(2n-1)-wide slices.
+
+    A generator the word never uses splits it into blocks of strands, and
+    the braid's matrix into their tensor product; so the bracket is that of
+    the block holding strand 1 times each other block's closed value, and
+    the zero matrix, with the first block never evolved, when one of those
+    values is zero.  This holds for every assignment.  The word is taken
+    as it is: reducing it first (``BraidWord.reduced``) is exact only for
+    an assignment that passes ``validate_assignment``.
     """
-    return _dense(_evolve_closure(word, a), a.dim)
+    first, *rest = _blocks(word)
+    scale = a._one
+    for block in rest:
+        value = _closed_value(block, a)
+        if value is None or value.is_zero():
+            return _dense([{} for _ in range(a.dim)], a.dim)
+        scale = value * scale
+    factor = _factor(scale)
+    return _dense(
+        [{b: _times(y, factor) for b, y in row.items()} for row in _evolve_closure(first, a)],
+        a.dim,
+    )
+
+
+def _blocks(word: BraidWord) -> list[BraidWord]:
+    """The word cut at each generator it never uses, each block on its own strands 1..k."""
+    used = {i for i, _ in word.letters}
+    cuts = [k for k in range(1, word.strands) if k not in used] + [word.strands]
+    blocks, low = [], 0
+    for cut in cuts:
+        letters = tuple((i - low, s) for i, s in word.letters if low < i < cut)
+        blocks.append(BraidWord(cut - low, letters))
+        low = cut
+    return blocks
+
+
+def _closed_value(word: BraidWord, a: TensorAssignment) -> Entry | None:
+    """
+    The scalar of the fully closed braid: its (1,1)-bracket M closed on
+    strand 1 too, sum_{b,x} W[b][x] M[x][b]; None when no term is nonzero.
+    """
+    m, total = _evolve_closure(word, a), None
+    for b, row in enumerate(a._closing):
+        for x, w in row:
+            if (y := m[x].get(b)) is not None:
+                y = _times(y, w)
+                total = y if total is None else total + y
+    return total
 
 
 def _factor(x: Entry) -> Entry | None:
@@ -585,7 +636,8 @@ def load_fixture(path: str | os.PathLike) -> TensorAssignment:
     try:
         with open(os.fspath(path), encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # json.load recurses once per nested array or object.
         raise FixtureValidationError(f"cannot read fixture: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureValidationError("fixture must be a JSON object")

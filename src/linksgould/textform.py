@@ -15,7 +15,9 @@ its result by the operands' lowest and highest exponents, and refuses it
 with BudgetError when that size exceeds ``MAX_EXPRESSION_TERMS``.  So is
 the nesting: an expression deeper than ``MAX_EXPRESSION_DEPTH`` levels of
 parentheses and unary minus signs is refused with BudgetError before the
-parser recurses past it.  Numbers are ASCII decimal digits.
+parser recurses past it, and so is an integer of more than
+``MAX_INTEGER_DIGITS`` digits, before ``int()`` reads it.  Numbers are
+ASCII decimal digits.
 """
 from __future__ import annotations
 
@@ -44,6 +46,14 @@ MAX_EXPRESSION_TERMS = 200
 # parenthesis; unbounded, 200 parentheses overflowed Python's stack.  The
 # renderers write at most two levels.
 MAX_EXPRESSION_DEPTH = 50
+# An integer literal (a coefficient or an exponent) of more digits is
+# refused before int() reads it.  Python 3.11 and later refuse more than
+# 4 300 digits with their own message, and 3.10 reads any length at a
+# quadratic cost (10^6 digits: 7.7 s).  The LG^(1,1) fixture with its caps
+# divided by (t + Nq + 3)^4 and its cups multiplied by it loads in 0.03 s
+# for a 1 000-digit N and in 0.15 s for 4 000 digits (2-core x86, Python
+# 3.11.7).
+MAX_INTEGER_DIGITS = 1000
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -103,6 +113,11 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}")
             break
         if m.group(1):
+            if len(m.group(1)) > MAX_INTEGER_DIGITS:
+                raise BudgetError(
+                    f"an integer of {len(m.group(1))} digits exceeds the bound of "
+                    f"{MAX_INTEGER_DIGITS} digits"
+                )
             out.append(("int", m.group(1)))
         elif m.group(2):
             out.append(("var", m.group(2)))

@@ -416,6 +416,34 @@ def test_tensor_eval_builtin(capsys):
 
 
 @pytest.mark.parametrize(
+    "braid, strands",
+    [
+        ("1 3", 4),  # a split link: a closed unknot block is 0
+        ("1 1 1 2", 3),  # destabilised to the trefoil on 2 strands
+        ("1 2 3 1 -3 2 3 1 2 -1 3", 4),  # s_3 ... s_3^-1 cancels across s_1
+        ("1 -2 3 -4 5 " * 4 + "5 -5 2", 6),
+    ],
+)
+def test_tensor_eval_prints_the_reduced_words_value(capsys, braid, strands):
+    # tensor eval evaluates the reduced word; for the built-in fixture its
+    # value is the typed word's.
+    word = parse_braid(braid, strands)
+    assert word.reduced() != word
+    code, out, _ = run(capsys, "tensor", "eval", "--braid", braid, "--strands", str(strands))
+    assert code == 0
+    assert out == scalar_of(braid_bracket(word, lg11_fixture())).render() + "\n"
+
+
+def test_tensor_eval_bounds_the_word_as_typed(capsys):
+    # 51 cancelling pairs reduce to the empty word, but the letters typed
+    # are over the bound.
+    braid = " ".join(["1 -1"] * (MAX_TENSOR_LETTERS // 2 + 1))
+    assert parse_braid(braid).reduced().letters == ()
+    err = run_over_bound(capsys, "tensor", "eval", "--braid", braid)
+    assert f"letter count {MAX_TENSOR_LETTERS + 2} exceeds the bound" in err
+
+
+@pytest.mark.parametrize(
     "argv, code, out",
     [
         (["--braid", "1 1 1"], 0, "t^2 - 1 + t^-2\n"),
@@ -533,6 +561,30 @@ def test_tensor_eval_undecodable_fixture(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: cannot read fixture")
+
+
+def test_tensor_eval_deeply_nested_fixture(capsys, tmp_path):
+    # json.load recurses once per level and raises RecursionError: the
+    # fixture is unreadable, exit 1 with one error line.
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read fixture") and err.count("\n") == 1
+
+
+def test_fixture_integer_digit_bound(capsys, tmp_path):
+    # 5 000 nines in R[0][0]: Python 3.11 and later would refuse them in
+    # int() with their own message, and 3.10 would read them.  The text
+    # grammar refuses them first: exit 3 with one error line.
+    path = tmp_path / "lg11.json"
+    dump_fixture(lg11_fixture(), path)
+    doc = json.loads(path.read_text())
+    doc["R"][0][0] = "9" * 5000
+    path.write_text(json.dumps(doc))
+    err = run_over_bound(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 1 1")
+    assert err == "error: an integer of 5000 digits exceeds the bound of 1000 digits\n"
 
 
 @pytest.mark.parametrize(

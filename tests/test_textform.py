@@ -8,6 +8,7 @@ from linksgould.rational import RationalFn
 from linksgould.textform import (
     MAX_EXPRESSION_DEPTH,
     MAX_EXPRESSION_TERMS,
+    MAX_INTEGER_DIGITS,
     parse_half,
     parse_laurent2,
     parse_rational,
@@ -132,6 +133,24 @@ def test_expression_depth_bound():
             parse_rational(text)
     with pytest.raises(BudgetError):
         parse_half("(" * (d + 1) + "s" + ")" * (d + 1))
+
+
+def test_integer_digit_bound():
+    # An integer literal, coefficient or exponent, of more digits than the
+    # bound is refused before int() reads it: on every Python version, and
+    # below the 4 300 digits past which Python 3.11 and later refuse it
+    # with a ValueError of their own.
+    n = MAX_INTEGER_DIGITS
+    assert n < 4300
+    big = 10**n - 1
+    assert parse_rational("9" * n + "t") == RationalFn(Laurent2({(1, 0): big}))
+    assert parse_rational("0" * (n - 1) + "7") == RationalFn(Laurent2.const(7))
+    assert parse_half("9" * n) == HalfLaurent.const(big)
+    for text in ["9" * (n + 1), "t^" + "1" * (n + 1), "(t+1)/" + "3" * 5000, "0" * (n + 1)]:
+        with pytest.raises(BudgetError, match=f"exceeds the bound of {n} digits"):
+            parse_rational(text)
+    with pytest.raises(BudgetError):
+        parse_half("s^-" + "2" * (n + 1))
 
 
 def test_half_grammar_variables():
