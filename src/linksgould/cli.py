@@ -40,12 +40,8 @@ __all__ = ["main"]
 # defined in tensor.py, where load_fixture refuses a fixture too wide to
 # validate before any check runs; tensor eval checks strands and letters
 # before it loads a fixture, then bounds the braid's width D^(2n-1), all on
-# the word as typed, and then evaluates the reduced word.  On LG^(1,1) a
-# random 8-letter braid takes 0.2-1.8 ms at that bound of 6 strands, and
-# one that uses every generator 2 ms, against 3-6 ms on 7; the bound
-# stays until a wider fixture sets it.  At the bound of 100 letters a
-# random 6-strand braid took 0.16-0.49 s, and 1 -2 3 -4 5 repeated, which
-# does not reduce, 1.6 s.  The skein engine's crossing bound,
+# the word as typed, and then evaluates the reduced word; tensor.py gives
+# what those bounds cost.  The skein engine's crossing bound,
 # MAX_SKEIN_CROSSINGS, is defined in conway.py.
 MAX_ALEXANDER_STRANDS = 1000
 # lg2braid takes |--k| up to MAX_LG_K.  Its cost in |k| depends on m: at

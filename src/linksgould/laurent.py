@@ -332,6 +332,7 @@ class Laurent2(_SparseLaurent):
     def exact_div(self, other: Laurent2) -> Laurent2:
         """
         Exact division; raises ValueError when ``other`` does not divide.
+        A quotient by one is the dividend itself.
 
         Monomial factors are units here, so both operands are first
         shifted into the polynomial quadrant; there the quotient of an
@@ -346,8 +347,8 @@ class Laurent2(_SparseLaurent):
         """
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self.zero()
+        if self.is_zero() or other.is_one():
+            return self
         smt, smq = self.min_exponents()
         omt, omq = other.min_exponents()
         g = other.shifted(-omt, -omq)

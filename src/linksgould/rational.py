@@ -14,15 +14,17 @@ form only keeps printed output and intermediate sizes sane.
 with denominator 1 and returns ``NotImplemented`` for any other type, as
 the mixing rule in ``laurent`` says; ``CycloFraction`` lifts through this
 same lift.  Both fraction types share one set of fraction operators,
-``_Quotient``, over their own ``_coerce`` and ``_make``.
+``_Quotient``, over their own ``_coerce`` and ``_make``; a product by one
+is the other operand, after that lift, and never reaches ``_make``.
 
 The gcd itself is one subresultant polynomial remainder sequence whose
 coefficients are ``Laurent2`` values: a polynomial is split by powers of
 its main variable (t or q, whichever has the smaller span), the
 coefficients' contents come from the same gcd in the other variable
 (where the coefficients are integers and ``math.gcd`` suffices), and
-every division is ``Laurent2.exact_div``.  Its many products by a unit
-or a monomial, such as a leading coefficient of 1, are shifts.
+every division is ``Laurent2.exact_div``, which returns a quotient by one
+(a content of 1, say) at once.  Its many products by a unit or a
+monomial, such as a leading coefficient of 1, are shifts.
 """
 from __future__ import annotations
 
@@ -100,18 +102,6 @@ def _content(values: list[Laurent2], var: int) -> Laurent2:
     return g
 
 
-def _scaled(coeffs: list[Laurent2], x: Laurent2) -> list[Laurent2]:
-    """Each coefficient times x; a product by zero or a monomial is a shift."""
-    return [c * x for c in coeffs]
-
-
-def _divided(coeffs: list[Laurent2], x: Laurent2) -> list[Laurent2]:
-    """Each coefficient divided exactly by x."""
-    if x.is_one():
-        return coeffs
-    return [c if c.is_zero() else c.exact_div(x) for c in coeffs]
-
-
 def _prem(a: list[Laurent2], b: list[Laurent2]) -> list[Laurent2]:
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
     db = len(b) - 1
@@ -121,14 +111,17 @@ def _prem(a: list[Laurent2], b: list[Laurent2]) -> list[Laurent2]:
     while len(r) > db:
         top = r.pop()
         shift = len(r) - db
-        r = _scaled(r, lc)
+        r = [c * lc for c in r]
         for j in range(db):
             if not b[j].is_zero():
                 r[shift + j] = r[shift + j] - top * b[j]
         while r and r[-1].is_zero():
             r.pop()
         e -= 1
-    return _scaled(r, lc**e) if e > 0 else r
+    if e > 0:
+        lc = lc**e
+        r = [c * lc for c in r]
+    return r
 
 
 def _gcd(a: Laurent2, b: Laurent2, main: int) -> Laurent2:
@@ -141,7 +134,7 @@ def _gcd(a: Laurent2, b: Laurent2, main: int) -> Laurent2:
     f, g = _split(a, main), _split(b, main)
     cf, cg = _content(f, other), _content(g, other)
     d = _content([cf, cg], other)
-    f, g = _divided(f, cf), _divided(g, cg)
+    f, g = [c.exact_div(cf) for c in f], [c.exact_div(cg) for c in g]
     if len(f) < len(g):
         f, g = g, f
     lead = h = Laurent2.one()
@@ -153,13 +146,15 @@ def _gcd(a: Laurent2, b: Laurent2, main: int) -> Laurent2:
         if len(r) == 1:
             g = [Laurent2.one()]
             break
-        f, g = g, _divided(r, lead * h**delta)
+        div = lead * h**delta
+        f, g = g, [c.exact_div(div) for c in r]
         lead = f[-1]
         if delta == 1:
             h = lead
         elif delta > 1:
             h = (lead**delta).exact_div(h ** (delta - 1))
-    return _join(_scaled(_divided(g, _content(g, other)), d), main)
+    content = _content(g, other)
+    return _join([c.exact_div(content) * d for c in g], main)
 
 
 def laurent_gcd(a: Laurent2, b: Laurent2) -> Laurent2:
@@ -244,6 +239,11 @@ class _Quotient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # A product by one is the other operand: no constructor, and no gcd.
+        if self.num._terms == self.den._terms:
+            return other
+        if other.num._terms == other.den._terms:
+            return self
         return self._make(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -9,7 +9,9 @@ them are moved aside, and a destabilised last strand closes ``R`` or
 that fails the first move shows why ``braid_bracket`` itself never
 reduces.  The factorisation at unused generators holds for every fixture;
 ``test_braid_bracket_matches_sliced_closure`` checks it against the
-sliced closure on fixtures that fail validation too.
+sliced closure on fixtures that fail validation too, and the closed value
+it takes of each block but the first is checked here against the fully
+closed sliced diagram.
 """
 import pytest
 
@@ -17,12 +19,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 import dense_kernel  # noqa: E402
-from test_cli import gauged, write_fixture  # noqa: E402
+from test_cli import flip_fixture, gauged, write_fixture  # noqa: E402
 
 from linksgould import tensor  # noqa: E402
 from linksgould.braid import BraidWord, parse_braid  # noqa: E402
 from linksgould.laurent import Laurent2  # noqa: E402
+from linksgould.sliced import to_sliced  # noqa: E402
 from linksgould.tensor import (  # noqa: E402
+    bracket,
     braid_bracket,
     identity_matrix,
     lg11_fixture,
@@ -35,6 +39,16 @@ given = hypothesis.given
 laws = hypothesis.settings(deadline=None, derandomize=True, database=None)
 
 LG11 = lg11_fixture()
+# R times t and Rinv times t^-1 keep R Rinv = id and Yang-Baxter, but
+# close R on the right to t times one strand.
+FRAMING_SCALED = dense_kernel.rebuilt(
+    LG11,
+    R=tuple(tuple(x * Laurent2.t(1) for x in row) for row in LG11.R),
+    Rinv=tuple(tuple(x * Laurent2.t(-1) for x in row) for row in LG11.Rinv),
+)
+# LG^(1,1) closes every diagram to 0; the flip fixture closes one with c
+# components to 2^c.
+CLOSED_FIXTURES = {"lg11": LG11, "flip2": flip_fixture(2), "framing_scaled": FRAMING_SCALED}
 
 
 def letters_on(n, avoid=0, max_size=8):
@@ -152,15 +166,39 @@ def test_zero_closed_block_skips_the_first_block(monkeypatch):
     # LG^(1,1) value is 0: the 3-strand block is never evolved.
     evolve, evolved = tensor._evolve_closure, []
 
-    def counted(word, a):
+    def counted(word, a, open_strands):
         evolved.append(word.strands)
-        return evolve(word, a)
+        return evolve(word, a, open_strands)
 
     monkeypatch.setattr(tensor, "_evolve_closure", counted)
     word = parse_braid("1 -2 1 4", 5)
     zero = tuple(tuple(x * 0 for x in row) for row in identity_matrix(2))
     assert braid_bracket(word, LG11) == zero
     assert evolved == [2]
+
+
+def assert_closed_value(word, fx):
+    value = tensor._evolve_closure(word, fx, 0)[0].get(0)
+    (want,), = bracket(to_sliced(word), fx)
+    assert want == (0 if value is None else value)
+
+
+@pytest.mark.parametrize("name", CLOSED_FIXTURES)
+def test_closed_value_of_trivial_braids_equals_sliced_closure(name):
+    for n in range(1, 5):
+        assert_closed_value(BraidWord(n, ()), CLOSED_FIXTURES[name])
+    assert tensor._evolve_closure(BraidWord(3, ()), flip_fixture(2), 0) == [{0: 8}]
+
+
+@laws
+@given(
+    st.sampled_from(sorted(CLOSED_FIXTURES)),
+    st.integers(1, 4).flatmap(lambda n: letters_on(n, max_size=6).map(lambda w: BraidWord(n, w))),
+)
+def test_closed_value_equals_sliced_closure(name, word):
+    # The fully closed value that braid_bracket takes of every block but
+    # the first, against the bracket of the whole closure sliced.
+    assert_closed_value(word, CLOSED_FIXTURES[name])
 
 
 def test_split_value_is_a_product_for_the_flip_fixture():
@@ -173,16 +211,10 @@ def test_split_value_is_a_product_for_the_flip_fixture():
 
 
 def test_framing_scaled_fixture_changes_on_destabilisation():
-    # R times t and Rinv times t^-1 keep R Rinv = id and Yang-Baxter, but
-    # close R on the right to t times one strand: destabilising then
-    # changes the value.  So braid_bracket, which the acceptance tests use
-    # to check Markov invariance, evaluates the word it is given.
-    t = Laurent2.t
-    fx = dense_kernel.rebuilt(
-        LG11,
-        R=tuple(tuple(x * t(1) for x in row) for row in LG11.R),
-        Rinv=tuple(tuple(x * t(-1) for x in row) for row in LG11.Rinv),
-    )
+    # Destabilising changes the framing-scaled fixture's value.  So
+    # braid_bracket, which the acceptance tests use to check Markov
+    # invariance, evaluates the word it is given.
+    t, fx = Laurent2.t, FRAMING_SCALED
     assert list(validate_assignment(fx)) == ["cl_R_is_identity", "cl_Rinv_is_identity"]
     word = parse_braid("1 1 1 2")
     raw, reduced = (scalar_of(braid_bracket(w, fx)) for w in (word, word.reduced()))

@@ -81,6 +81,14 @@ def test_exact_division():
         (t(1) + 1).exact_div(q(1) + 1)
 
 
+def test_exact_division_by_one_is_the_dividend():
+    p = t(2) - 3 * q(-1)
+    assert p.exact_div(Laurent2.one()) is p
+    assert p.exact_div(-Laurent2.one()) == -p
+    assert Laurent2.zero().exact_div(Laurent2.one()).is_zero()
+    assert Laurent2.zero().exact_div(p).is_zero()
+
+
 def test_evaluate():
     from fractions import Fraction
 

@@ -123,6 +123,30 @@ def test_field_arithmetic():
         RationalFn.zero().reciprocal()
 
 
+def test_product_by_one_is_the_other_operand(monkeypatch):
+    from linksgould import rational
+    from linksgould.cyclotomic import CycloFraction
+
+    # Neither operand is a monomial, so a product through the constructor
+    # would run the gcd; a product by one never reaches it.
+    def no_gcd(a, b):
+        raise AssertionError("a product by one ran the gcd")
+
+    monkeypatch.setattr(rational, "laurent_gcd", no_gcd)
+    fractions = (
+        RationalFn(t(1) + q(1), t(1) - 2, cancel=False),
+        CycloFraction(5, t(1) + q(1), t(1) + 3),
+    )
+    for f in fractions:
+        unreduced_one = f._make(t(1) + 1, t(1) + 1)
+        for one in (1, Laurent2.one(), f._coerce(1), unreduced_one):
+            assert f * one is f and one * f is f
+        for x in (3, t(2) - t(-1)):
+            lifted = f._coerce(x)
+            for product in (f._coerce(1) * x, x * f._coerce(1)):
+                assert type(product) is type(f) and product == lifted
+
+
 def test_invert_q():
     f = RationalFn(t(1) * q(2) - 1, t(1) + q(1))
     g = f.invert_q()

@@ -168,7 +168,7 @@ def test_fixtures_cover_every_entry_class():
         entry_kind(x)
         for fx in _CLASS_FIXTURES.values()
         for piece in (Piece.CROSS_POS, Piece.CROSS_NEG)
-        for row in fx.piece_matrix(piece)[0]
+        for row in fx._pieces[piece][0]
         for _, x in row
     }
     assert kinds == {"unit", "monomial", "scaled monomial", "general", "rational"}
@@ -250,7 +250,7 @@ def test_polynomial_fixture_pieces_hold_laurent2(tmp_path):
     # numerators; one entry with a denominator keeps RationalFn throughout.
     for fx, kind in ((lg11_fixture(), Laurent2), (gauged_fixture(tmp_path), RationalFn)):
         for piece in Piece:
-            entries = [x for row in fx.piece_matrix(piece)[0] for _, x in row]
+            entries = [x for row in fx._pieces[piece][0] for _, x in row]
             assert entries and all(type(x) is kind for x in entries), (piece, kind)
 
 
