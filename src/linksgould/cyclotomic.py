@@ -12,7 +12,10 @@ The values at the primitive d-th roots of unity are Galois conjugates of
 each other: the ring automorphism q -> q^e of the quotient, for e coprime
 to d, carries the value at one root to the value at its e-th power.  So
 a value is reduced modulo Phi_d once and every other root of that order
-is reached by ``CycloFraction.conjugate``.
+is reached by ``CycloFraction.conjugate``.  One routine, ``_reduce_laurent``,
+owns the map q -> zeta^e for the constructor (e = 1), for ``conjugate``
+and for equality: it folds each q^j to q^(j*e mod d), since q^d = 1 in the
+quotient, and divides by the monic Phi_d, with no table of powers of q.
 
 ``CycloFraction`` lifts an operand through ``RationalFn``'s lift and
 returns ``NotImplemented`` for any type that lift refuses, as the mixing
@@ -57,41 +60,34 @@ def cyclotomic_poly(d: int) -> Laurent2:
     return Laurent2({(0, e): c for e, c in enumerate(_cyclotomic_coeffs(d)) if c})
 
 
-@lru_cache(maxsize=None)
-def _qpower_table(d: int) -> tuple[tuple[int, ...], ...]:
-    """Residues of q^e mod Phi_d for e in [0, d), as coefficient tuples."""
+def _reduce_laurent(p: Laurent2, d: int, e: int = 1) -> Laurent2:
+    """
+    The image of p under q -> q^e in Z[t, t^-1][q] / Phi_d: each q^j folds
+    to q^(j*e mod d), since q^d == 1 there, and the coefficient of each
+    power of t is divided by the monic Phi_d from the top, which leaves
+    q-exponents below phi(d).
+    """
     phi = _cyclotomic_coeffs(d)
     deg = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * deg
-    if deg > 0:
-        cur[0] = 1
-    for _ in range(d):
-        rows.append(tuple(cur))
-        nxt = [0] + cur
-        lead = nxt.pop()
-        if lead:
-            # q^deg == -(Phi_d - q^deg), since Phi_d is monic.
-            for j in range(deg):
-                nxt[j] -= lead * phi[j]
-        cur = nxt
-    return tuple(rows)
-
-
-def _reduce_laurent(p: Laurent2, d: int) -> Laurent2:
-    """Reduce all q-exponents of p modulo Phi_d (q^d == 1 in the quotient)."""
-    table = _qpower_table(d)
-    out: dict[tuple[int, int], int] = {}
+    rows: dict[int, list[int]] = {}
     for (et, eq), c in p.terms():
-        for j, a in enumerate(table[eq % d]):
-            if a:
-                e = (et, j)
-                s = out.get(e, 0) + c * a
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-    return Laurent2(out)
+        row = rows.get(et)
+        if row is None:
+            row = rows[et] = [0] * d
+        row[eq * e % d] += c
+    out: dict[tuple[int, int], int] = {}
+    for et, row in rows.items():
+        for top in range(d - 1, deg - 1, -1):
+            lead = row[top]
+            if lead:
+                # q^top == q^(top-deg) * (q^deg - Phi_d), since Phi_d is monic.
+                low = top - deg
+                for j in range(deg):
+                    row[low + j] -= lead * phi[j]
+        for j in range(deg):
+            if row[j]:
+                out[et, j] = row[j]
+    return Laurent2._raw(out)
 
 
 def _root_power(m: int, r: int) -> tuple[int, int]:
@@ -160,21 +156,25 @@ class CycloFraction(_Quotient):
     def _make(self, num: Laurent2, den: Laurent2) -> CycloFraction:
         return CycloFraction(self.d, num, den)
 
-    def __neg__(self) -> CycloFraction:
+    def _reduced(self, num: Laurent2, den: Laurent2) -> CycloFraction:
+        """An already reduced num/den modulo Phi_d, with no second reduction."""
         out = CycloFraction.__new__(CycloFraction)
         object.__setattr__(out, "d", self.d)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
         return out
+
+    def __neg__(self) -> CycloFraction:
+        return self._reduced(-self.num, self.den)
 
     def conjugate(self, e: int) -> CycloFraction:
         """
         The image under the ring automorphism q -> q^e, gcd(e, d) = 1.
 
         If this is the value of x at a primitive d-th root zeta, the
-        result is the value of x at zeta^e.  The stored q-exponents j lie
-        below phi(d) <= d, so the exponents j*e mod d stay distinct and
-        only the reduction modulo Phi_d is left to do.
+        result is the value of x at zeta^e.  ``_reduce_laurent`` is the one
+        routine that sends q to q^e in the quotient, here as in the
+        constructor (e = 1); an automorphism keeps the denominator nonzero.
 
         >>> i = CycloFraction(4, Laurent2.q())
         >>> print(i.conjugate(3))
@@ -185,7 +185,7 @@ class CycloFraction(_Quotient):
             raise ValueError(f"e={e} must be prime to d={d}")
         if e % d == 1 % d:
             return self
-        return CycloFraction(d, _power_q(self.num, e, d), _power_q(self.den, e, d))
+        return self._reduced(_reduce_laurent(self.num, d, e), _reduce_laurent(self.den, d, e))
 
     # -- comparison ------------------------------------------------------
 
@@ -225,7 +225,3 @@ def reduce_at_root(x: Laurent2 | RationalFn, m: int, r: int = 1) -> CycloFractio
         raise TypeError(f"cannot reduce {type(x).__name__} at a root of unity")
     return CycloFraction(d, f.num, f.den).conjugate(e)
 
-
-def _power_q(p: Laurent2, e: int, d: int) -> Laurent2:
-    """Send q^j to q^(j*e mod d); injective on q-exponents below d."""
-    return Laurent2._raw({(et, eq * e % d): c for (et, eq), c in p.terms()})

@@ -73,6 +73,25 @@ def test_mirror_negates_odd_part():
     assert conway(braid_closure(mirror)) == conway(braid_closure(w)).mirror()
 
 
+def test_mirror_inverts_s_on_random_braids():
+    # The closure of a braid with every letter inverted is the mirror image,
+    # and Delta of a mirror image is Delta(s^-1); some values here are not
+    # symmetric in s, so the rule is not satisfied by symmetry alone.
+    rng = random.Random(44)
+    asymmetric = 0
+    for _ in range(200):
+        n = rng.randint(3, 4)
+        letters = tuple(
+            (rng.randint(1, n - 1), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 8))
+        )
+        value = conway(braid_closure(BraidWord(n, letters)))
+        mirror = BraidWord(n, tuple((i, -sg) for i, sg in letters))
+        assert conway(braid_closure(mirror)) == value.mirror(), letters
+        asymmetric += value.mirror() != value
+    assert asymmetric > 0
+
+
 def test_budget_enforced(monkeypatch):
     engine = sys.modules["linksgould.conway"]
     monkeypatch.setattr(engine, "MAX_SKEIN_CROSSINGS", 2)

@@ -178,6 +178,33 @@ def test_closed_2braid_values():
         assert lg_closed_2braid(1, k) == RationalFn(num, t(1) + t(-1))
 
 
+def inverted(f: RationalFn, st: int, sq: int) -> RationalFn:
+    """f under t -> t^st and q -> q^sq, each sign +-1."""
+
+    def sub(p: Laurent2) -> Laurent2:
+        return Laurent2({(st * et, sq * eq): c for (et, eq), c in p.terms()})
+
+    return RationalFn(sub(f.num), sub(f.den))
+
+
+def test_mirror_inverts_t_and_q():
+    # The closure of sigma^-k is the mirror image of that of sigma^k, and
+    # mirroring sends LG^(m,1)(t, q) to LG^(m,1)(t^-1, q^-1).
+    for m in range(1, 5):
+        for k in range(-5, 6):
+            assert lg_closed_2braid(m, -k) == inverted(lg_closed_2braid(m, k), -1, -1), (m, k)
+
+
+def test_mirror_needs_both_inversions():
+    # For m >= 2 the value depends on q, so inverting t alone or q alone is
+    # a different value: the rule above is not satisfied by chance.
+    for m in range(2, 5):
+        for k in (*range(-5, -1), *range(2, 6)):
+            value, mirrored = lg_closed_2braid(m, k), lg_closed_2braid(m, -k)
+            assert mirrored != inverted(value, -1, 1), (m, k)
+            assert mirrored != inverted(value, 1, -1), (m, k)
+
+
 def test_q_minus_one_square_identity():
     for k in range(-10, 11):
         lhs = reduce_at_root(lg_closed_2braid(2, k), 1, 1)

@@ -330,6 +330,29 @@ def test_conway_oracle_on_random_braids():
         assert lhs == rhs, w.render()
 
 
+def test_connected_sum_multiplies_values():
+    # beta2 shifted onto strands a..a+b-1 shares strand a with beta1, whose
+    # closure is then the connected sum of the two closures, and LG^(1,1)
+    # is multiplicative under connected sum.
+    fx = lg11_fixture()
+    rng = random.Random(52)
+
+    def word():
+        n = rng.randint(2, 3)
+        return n, [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))]
+
+    nonzero = 0
+    for _ in range(40):
+        (a, w1), (b, w2) = word(), word()
+        joined = BraidWord(a + b - 1, tuple(w1 + [(i + a - 1, sg) for i, sg in w2]))
+        left = scalar_of(braid_bracket(BraidWord(a, tuple(w1)), fx))
+        right = scalar_of(braid_bracket(BraidWord(b, tuple(w2)), fx))
+        product = left * right
+        assert scalar_of(braid_bracket(joined, fx)) == product, joined.render()
+        nonzero += not product.is_zero()
+    assert nonzero > 0
+
+
 _SEVEN_STRANDS = "1 -2 3 -4 5 -6 1 -2"
 _AS_LIMIT = 128 * 2**20
 _BOUNDED_BRACKET = f"""
