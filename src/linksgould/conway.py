@@ -40,9 +40,9 @@ MAX_SKEIN_CROSSINGS = 64
 # The crossing bound does not limit the engine's cost, which grows with
 # the number of diagrams the resolution keys, so one conway call keys at
 # most this many.  The closed 2-braid sigma^24 keys 15 333 diagrams
-# (0.2 s) and sigma^32 176 065 (3.3 s, 73 MB); sigma^36 and longer reach
-# the bound after about 10 s at a 178 MB peak, where sigma^40 ran 41 s and
-# 657 MB without it (2-core x86, Python 3.11.7).
+# (0.4-0.6 s) and sigma^32 176 065 (5-9 s, 78 MB); sigma^36 and longer
+# reach the bound after about 17 s at a 195 MB peak (shared 2-core x86,
+# Python 3.11.7), where sigma^40 ran 41 s and 657 MB without it.
 MAX_KEYED_DIAGRAMS = 2**19
 
 _SKEIN = HalfLaurent.s() - HalfLaurent.s(-1)

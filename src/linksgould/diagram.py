@@ -9,6 +9,12 @@ the skein engine needs: switching a crossing flips its sign and flags,
 and the oriented smoothing splices the passage sequences (splitting one
 component or merging two, so the component count always moves by one).
 
+A diagram is checked once, where it enters: ``OrientedDiagram(...)``
+refuses malformed Gauss data, whether it comes from ``braid_closure``,
+from user code or from unpickling.  Surgery does not check again: a
+switch or a smoothing of a valid diagram is valid, so both build their
+result through the unchecked ``OrientedDiagram._raw``.
+
 Nothing here tries to decide isotopy.  ``canonical_key`` only normalizes
 away the arbitrary internal crossing ids, which is exactly what a
 memoization key needs.
@@ -58,6 +64,14 @@ class OrientedDiagram(Record):
                 raise ValueError(f"crossing {cid} has sign {sign}")
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "components", components)
+
+    @classmethod
+    def _raw(cls, crossings, components) -> OrientedDiagram:
+        """Wrap fields already known to form a valid diagram, unchecked."""
+        d = cls.__new__(cls)
+        object.__setattr__(d, "crossings", crossings)
+        object.__setattr__(d, "components", components)
+        return d
 
     def sign_of(self, cid: int) -> int:
         for c, sign in self.crossings:
@@ -176,7 +190,7 @@ def _locate(d: OrientedDiagram, cid: int) -> list[tuple[int, int, bool]]:
 
 def switch_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
     """Flip one crossing: sign negated, over and under exchanged."""
-    _locate(d, cid)  # raises for unknown ids
+    d.sign_of(cid)  # raises for unknown ids
     crossings = tuple(
         (c, -sign) if c == cid else (c, sign) for c, sign in d.crossings
     )
@@ -184,7 +198,7 @@ def switch_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
         tuple((c, not over) if c == cid else (c, over) for c, over in comp)
         for comp in d.components
     )
-    return OrientedDiagram(crossings, components)
+    return OrientedDiagram._raw(crossings, components)
 
 
 def smooth_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
@@ -209,4 +223,4 @@ def smooth_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
         keep, drop = min(c1, c2), max(c1, c2)
         comps[keep] = merged
         del comps[drop]
-    return OrientedDiagram(crossings, tuple(comps))
+    return OrientedDiagram._raw(crossings, tuple(comps))

@@ -6,7 +6,7 @@ import pytest
 from linksgould.braid import BraidWord, parse_braid
 from linksgould.cli import main
 from linksgould.conway import conway, first_violation
-from linksgould.diagram import braid_closure, canonical_key, component_count
+from linksgould.diagram import OrientedDiagram, braid_closure, canonical_key, component_count
 from linksgould.errors import BudgetError
 from linksgould.laurent import HalfLaurent, Laurent2
 from linksgould.rational import RationalFn
@@ -191,3 +191,18 @@ def test_each_diagram_keyed_once(monkeypatch):
     decided = [key for key, _ in calls["first_violation"]]
     assert decided == [key for key, split in calls["is_split"] if not split]
     assert len(set(decided)) == len(decided)
+
+
+def test_diagram_checked_once(monkeypatch):
+    # The closure is checked where it enters; the 372 diagrams that surgery
+    # makes from it during the resolution are not checked again.
+    checked = []
+    original = OrientedDiagram.__init__
+
+    def counting(self, *args, **kwargs):
+        checked.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrientedDiagram, "__init__", counting)
+    assert conway(braid_closure(parse_braid("1 -2 1 3 -2 3 1 -2 -3"))) == -s(2) + 3 - s(-2)
+    assert len(checked) == 1

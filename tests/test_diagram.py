@@ -1,3 +1,5 @@
+import importlib
+import pickle
 import random
 
 import pytest
@@ -141,3 +143,32 @@ def test_malformed_diagrams_rejected():
     # would read different ones.
     with pytest.raises(ValueError):
         OrientedDiagram(((0, 1), (0, -1)), (((0, True), (0, False)),))
+
+
+def test_surgery_results_pass_the_constructor_checks(monkeypatch):
+    # Surgery builds its results unchecked, since a switch or smoothing of a
+    # valid diagram is valid.  Every result of the skein engine's resolution
+    # is rebuilt here through the checking constructor, which must accept it
+    # and give back an equal record; a pickled result must round-trip.
+    engine = importlib.import_module("linksgould.conway")
+    results = []
+    for name in ("switch_crossing", "smooth_crossing"):
+
+        def wrapper(d, cid, original=getattr(engine, name)):
+            result = original(d, cid)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(engine, name, wrapper)
+    rng = random.Random(25)
+    for _ in range(200):
+        n = rng.randint(3, 6)
+        letters = tuple(
+            (rng.randint(1, n - 1), rng.choice((1, -1)))
+            for _ in range(rng.randint(4, 9))
+        )
+        engine.conway(braid_closure(BraidWord(n, letters)))
+    assert len(results) > 1000
+    for r in results:
+        assert OrientedDiagram(r.crossings, r.components) == r
+        assert pickle.loads(pickle.dumps(r)) == r
