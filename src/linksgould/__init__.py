@@ -65,7 +65,6 @@ _EXPORTS = {
     "lg11_fixture": "tensor",
     "load_fixture": "tensor",
     "dump_fixture": "tensor",
-    "VerificationCell": "verify",
     "ReportDocument": "verify",
     "run_suite": "verify",
     "LinksGouldError": "errors",

@@ -85,7 +85,7 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
     The trace closure of a braid word.
 
     Positive letters become positive crossings.  Components are the
-    cycles of the braid's permutation; each component's traversal starts
+    cycles of ``word.permutation()``; each component's traversal starts
     at its first letter occurrence (the earliest crossing of the word
     lying on it), which anchors the skein engine deterministically.
     """
@@ -98,9 +98,7 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
         passages[left].append((cid, sign == 1))
         passages[right].append((cid, sign == -1))
         pos[i], pos[i + 1] = right, left
-    end = [0] * n
-    for p, s in enumerate(pos):
-        end[s] = p
+    end = word.permutation()
     comps: list[tuple[Passage, ...]] = []
     visited = [False] * n
     for start in range(n):

@@ -16,7 +16,9 @@ through ``_compared``, which renders both sides and decides by exact
 ``==``; a side that could not be formed, at a pole or where a bracket is
 not scalar, is passed as its message, and the cell fails.  A cell that
 checks a predicate yields its own text and verdict.  ``run_suite``
-builds every ``VerificationCell`` and stamps it with the suite's name.
+makes each into a cell stamped with the suite's name: the plain dict
+``{"suite", "params", "left", "right", "passed"}`` that the JSON report
+writes, read by key, as in ``report.cells[i]["passed"]``.
 Work shared by cells is done in the suite's own loops: the theorem
 suites compute each skein value once per run and reduce each LG value
 once per root order.
@@ -51,7 +53,6 @@ from .tensor import braid_bracket, lg11_fixture, scalar_of, validate_assignment
 from .version import __version__
 
 __all__ = [
-    "VerificationCell",
     "ReportDocument",
     "SUITES",
     "run_suite",
@@ -59,31 +60,11 @@ __all__ = [
 ]
 
 
-class VerificationCell(Record, eq=False):
-    __slots__ = ("suite", "params", "left", "right", "passed")
-
-    def __init__(self, suite: str, params: dict, left: str, right: str, passed: bool):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "passed", passed)
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": dict(self.params),
-            "left": self.left,
-            "right": self.right,
-            "passed": self.passed,
-        }
-
-
 class ReportDocument(Record, eq=False):
     __slots__ = ("version", "suite", "cells", "elapsed_seconds")
 
     def __init__(
-        self, version: str, suite: str, cells: tuple[VerificationCell, ...], elapsed_seconds: float
+        self, version: str, suite: str, cells: tuple[dict, ...], elapsed_seconds: float
     ):
         object.__setattr__(self, "version", version)
         object.__setattr__(self, "suite", suite)
@@ -92,21 +73,24 @@ class ReportDocument(Record, eq=False):
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cells)
+        return all(c["passed"] for c in self.cells)
 
     @property
     def counts(self) -> dict:
-        failed = sum(0 if c.passed else 1 for c in self.cells)
+        failed = sum(0 if c["passed"] else 1 for c in self.cells)
         return {"total": len(self.cells), "failed": failed}
 
     def to_dict(self) -> dict:
-        """The report without its timing, so it is the same on every run."""
+        """
+        The report without its timing, so it is the same on every run.
+        Its cells are fresh dicts, each with its own copy of ``params``.
+        """
         return {
             "version": self.version,
             "suite": self.suite,
             "passed": self.passed,
             "counts": self.counts,
-            "cells": [c.to_dict() for c in self.cells],
+            "cells": [{**c, "params": dict(c["params"])} for c in self.cells],
         }
 
     def to_json(self) -> str:
@@ -115,9 +99,9 @@ class ReportDocument(Record, eq=False):
     def __str__(self) -> str:
         lines = [f"suite {self.suite} (version {self.version})"]
         for c in self.cells:
-            mark = "pass" if c.passed else "FAIL"
-            ps = " ".join(f"{k}={v}" for k, v in c.params.items())
-            lines.append(f"  {mark}  {ps}: {c.left} == {c.right}")
+            mark = "pass" if c["passed"] else "FAIL"
+            ps = " ".join(f"{k}={v}" for k, v in c["params"].items())
+            lines.append(f"  {mark}  {ps}: {c['left']} == {c['right']}")
         counts = self.counts
         lines.append(
             f"{counts['total'] - counts['failed']}/{counts['total']} cells pass"
@@ -319,8 +303,10 @@ def run_suite(
 ) -> ReportDocument:
     """
     Run one suite and assemble its report.  This is the one place that
-    builds a ``VerificationCell``: each ``(params, left, right, passed)``
-    the suite yields becomes a cell stamped with ``name``, in the suite's
+    builds a cell: each ``(params, left, right, passed)`` the suite yields
+    becomes the dict ``{"suite": name, "params", "left", "right",
+    "passed"}`` that the JSON report writes, read by key, as in
+    ``report.cells[i]["passed"]``.  The cells keep the suite's
     deterministic order, and a comparison cell has already been decided
     by exact ``==``.  A grid with no cells raises ValueError, and so does
     an option that the suite does not read.
@@ -340,12 +326,15 @@ def run_suite(
         raise ValueError(
             f"suite {name!r} does not read {', '.join(unread)}; it reads {reads}"
         )
-    params = {**defaults, **given}
+    options = {**defaults, **given}
     started = time.perf_counter()
     corrupt = {"corrupt": True} if corrupt_eigenvalues else {}
-    cells = tuple(VerificationCell(name, *cell) for cell in build(**params, **corrupt))
+    cells = tuple(
+        {"suite": name, "params": params, "left": left, "right": right, "passed": passed}
+        for params, left, right, passed in build(**options, **corrupt)
+    )
     if not cells:
-        grid = ", ".join(f"{k}={v}" for k, v in params.items())
+        grid = ", ".join(f"{k}={v}" for k, v in options.items())
         raise ValueError(f"suite {name!r} has no cells for {grid}")
     return ReportDocument(
         version=__version__,

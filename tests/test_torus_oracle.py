@@ -8,7 +8,10 @@ Alexander polynomial, with d = gcd(p, q), is
 
 of degree (p-1)(q-1), centred and written in x = s^2.  LG^(1,1) is Delta
 at s -> t.  ``tensor eval`` must print it up to the tensor engine's letter
-bound, for knots (d = 1) and links (d > 1) alike.  Torus words with q >= 2
+bound, for knots (d = 1) and links (d > 1) alike.  The skein engine must
+give it where it fits: on every closed 2-braid that a theorem cell reads,
+whose Delta is the right side of that cell, and on torus links of 3 to 5
+strands up to 14 letters.  Torus words with q >= 2
 cancel nothing, use every generator and hold s_{p-1} q times, so the
 reduction leaves them as they are, and these cells check the engine on
 long words.
@@ -21,11 +24,14 @@ from math import gcd
 import pytest
 
 from linksgould.braid import BraidWord
-from linksgould.cli import main
+from linksgould.cli import MAX_VERIFY_K, main
+from linksgould.conway import conway
+from linksgould.diagram import braid_closure
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
 from linksgould.tensor import MAX_TENSOR_LETTERS, MAX_TENSOR_STRANDS
 from linksgould.textform import parse_rational
+from linksgould.verify import sigma_power
 
 t, one = Laurent2.t, Laurent2.one()
 
@@ -72,3 +78,26 @@ def test_tensor_eval_matches_torus_closed_form(capsys, p, q):
     assert main(["tensor", "eval", "--braid", word.render(), "--strands", str(p)]) == 0
     out = capsys.readouterr().out
     assert parse_rational(out.strip()) == RationalFn(torus_alexander(p, q))
+
+
+@pytest.mark.parametrize(
+    "k", [k for k in range(-MAX_VERIFY_K, MAX_VERIFY_K + 1) if abs(k) >= 2]
+)
+def test_skein_engine_matches_closed_form_on_closed_2braids(k):
+    # sigma^k closes to T(2, |k|) for k > 0 and to its mirror image for
+    # k < 0, whose Delta is Delta(s^-1).  These are the right sides of
+    # every theorem cell, at s -> t.
+    value = conway(braid_closure(sigma_power(k)))
+    if k < 0:
+        value = value.mirror()
+    assert value.substitute_power(1) == torus_alexander(2, abs(k))
+
+
+# Torus links on 3 to 5 strands, within about 14 letters of the skein engine.
+SKEIN_CASES = [(p, q) for p in (3, 4, 5) for q in range(2, 15) if (p - 1) * q <= 14]
+
+
+@pytest.mark.parametrize("p, q", SKEIN_CASES)
+def test_skein_engine_matches_torus_closed_form(p, q):
+    value = conway(braid_closure(torus_word(p, q)))
+    assert value.substitute_power(1) == torus_alexander(p, q)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from dense_kernel import rebuilt
@@ -8,7 +9,7 @@ import linksgould.verify
 from linksgould.cli import main
 from linksgould.laurent import Laurent2
 from linksgould.rational import RationalFn
-from linksgould.verify import run_suite
+from linksgould.verify import SUITES, run_suite
 
 # SHA-256 of `verify <suite> --format json` reports.  The theorem2 one is
 # as the direct route computes it, every cell reduced at its own root;
@@ -88,7 +89,9 @@ def test_corrupted_theorem2_fails_the_same_cells():
     # for m >= 2 (Lemma 2), so only m = 1 can show the corruption.
     report = run_suite("theorem2", max_m=4, max_k=3, corrupt_eigenvalues=True)
     failed = {
-        (c.params["m"], c.params["r"], c.params["k"]) for c in report.cells if not c.passed
+        (c["params"]["m"], c["params"]["r"], c["params"]["k"])
+        for c in report.cells
+        if not c["passed"]
     }
     assert failed == {(1, r, k) for r in (1, 2) for k in (-3, -2, -1, 1, 2, 3)}
     assert report.counts == {"total": 84, "failed": 12}
@@ -144,6 +147,33 @@ def test_remaining_suites_pass_smallish():
     assert run_suite("tensor-oracle").passed
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_cells_are_the_dicts_the_report_writes(name):
+    # Small grids; every suite's cell has exactly the five keys.
+    _, defaults = SUITES[name]
+    report = run_suite(name, **{k: min(v, 2) for k, v in defaults.items()})
+    assert report.cells
+    for cell in report.cells:
+        assert type(cell) is dict
+        assert set(cell) == {"suite", "params", "left", "right", "passed"}
+        assert cell["suite"] == name
+        assert type(cell["passed"]) is bool
+    assert json.loads(report.to_json())["cells"] == list(report.cells)
+
+
+def test_mutating_to_dict_leaves_the_report_unchanged():
+    report = run_suite("theorem1", max_m=2, max_k=1)
+    before = report.to_json()
+    doc = report.to_dict()
+    cell = doc["cells"][0]
+    cell["params"]["m"] = 99
+    cell["left"] = "changed"
+    cell["passed"] = False
+    doc["cells"].append(dict(cell))
+    assert report.to_json() == before
+    assert report.passed
+
+
 def test_stable_json_identical_across_runs():
     a = run_suite("lg21-qminus1", max_k=4).to_json()
     b = run_suite("lg21-qminus1", max_k=4).to_json()
@@ -157,7 +187,7 @@ def test_pole_surfaces_as_failure_not_crash():
     # the report shape.
     report = run_suite("theorem2", max_m=2, max_k=1, corrupt_eigenvalues=True)
     for cell in report.cells:
-        assert isinstance(cell.left, str) and isinstance(cell.right, str)
+        assert isinstance(cell["left"], str) and isinstance(cell["right"], str)
 
 
 @pytest.mark.parametrize(
@@ -175,12 +205,12 @@ def test_pole_cells_fail_with_their_message(monkeypatch, capsys, argv, patched):
     monkeypatch.setattr(linksgould.verify, patched, lambda *args: pole)
     name = argv[0]
     report = run_suite(name, max_m=1)
-    at_r1 = [c for c in report.cells if c.params["r"] == 1]
+    at_r1 = [c for c in report.cells if c["params"]["r"] == 1]
     assert at_r1
     for cell in at_r1:
-        assert cell.suite == name
-        assert cell.left == "pole at root: denominator vanishes in the quotient by Phi_2(q)"
-        assert not cell.passed
+        assert cell["suite"] == name
+        assert cell["left"] == "pole at root: denominator vanishes in the quotient by Phi_2(q)"
+        assert not cell["passed"]
     assert not report.passed
     assert main(["verify", *argv]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -207,10 +237,10 @@ def test_tensor_oracle_fails_a_framing_scaled_fixture(monkeypatch, capsys):
     monkeypatch.setattr(linksgould.verify, "lg11_fixture", lambda: fx)
     report = run_suite("tensor-oracle")
     check = report.cells[0]
-    assert check.params == {"check": "fixture-validation"}
-    assert check.left == "cl_R_is_identity; cl_Rinv_is_identity"
-    assert check.right == "all checks pass"
-    assert not check.passed
+    assert check["params"] == {"check": "fixture-validation"}
+    assert check["left"] == "cl_R_is_identity; cl_Rinv_is_identity"
+    assert check["right"] == "all checks pass"
+    assert not check["passed"]
     assert report.counts == {"total": 26, "failed": 16}
     assert main(["verify", "tensor-oracle"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -230,8 +260,8 @@ def test_skein_coefficients_fail_a_rescaled_eigenvalue(monkeypatch, capsys):
     report = run_suite("skein-coefficients", max_m=2)
     assert report.cells
     for cell in report.cells:
-        assert cell.left.startswith("i=0: raw nonzero, product NONZERO")
-        assert not cell.passed
+        assert cell["left"].startswith("i=0: raw nonzero, product NONZERO")
+        assert not cell["passed"]
     assert main(["verify", "skein-coefficients", "--max-m", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -246,14 +276,14 @@ def test_tensor_oracle_reports_a_non_scalar_bracket(monkeypatch, capsys):
     broken = rebuilt(fx, R=tuple(map(tuple, rows)))
     monkeypatch.setattr(linksgould.verify, "lg11_fixture", lambda: broken)
     report = run_suite("tensor-oracle")
-    assert report.cells[0].left == "R_times_Rinv; yang_baxter; cl_R_is_identity"
-    assert not report.cells[0].passed
-    not_scalar = [c for c in report.cells if c.left.startswith("not scalar: ")]
+    assert report.cells[0]["left"] == "R_times_Rinv; yang_baxter; cl_R_is_identity"
+    assert not report.cells[0]["passed"]
+    not_scalar = [c for c in report.cells if c["left"].startswith("not scalar: ")]
     assert not_scalar
     assert "diagonal entry (1,1) is 1, expected -t^2 + 1 + t^-4" in {
-        c.left.removeprefix("not scalar: ") for c in not_scalar
+        c["left"].removeprefix("not scalar: ") for c in not_scalar
     }
-    assert not any(c.passed for c in not_scalar)
+    assert not any(c["passed"] for c in not_scalar)
     assert main(["verify", "tensor-oracle"]) == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.out and captured.err == ""
