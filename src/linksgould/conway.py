@@ -16,7 +16,14 @@ Switching the first violation leaves the earlier traversal untouched, so
 the violation count drops by one; smoothing drops the crossing count.
 The pair (crossings, violations) decreases lexicographically on both
 branches, which is the termination measure.  Values are memoized on
-``canonical_key``.
+``canonical_key``, a tuple of ints.
+
+Only the root and the smoothings of self-crossings run ``is_split``.  The
+other surgery results inherit non-split-ness from their parent, which was
+not split, or it would have had no surgery: a switch keeps every
+crossing, passage and component, so it has the parent's crossing-incidence
+graph; smoothing a crossing between two components contracts one edge of
+that connected graph, which leaves it connected.
 """
 from __future__ import annotations
 
@@ -40,12 +47,15 @@ MAX_SKEIN_CROSSINGS = 64
 # The crossing bound does not limit the engine's cost, which grows with
 # the number of diagrams the resolution keys, so one conway call keys at
 # most this many.  The closed 2-braid sigma^24 keys 15 333 diagrams
-# (0.4-0.6 s) and sigma^32 176 065 (5-9 s, 78 MB); sigma^36 and longer
-# reach the bound after about 17 s at a 195 MB peak (shared 2-core x86,
-# Python 3.11.7), where sigma^40 ran 41 s and 657 MB without it.
+# (0.3 s) and sigma^32 176 065 (3.3 s, 90 MB); sigma^36 and longer reach
+# the bound after about 11 s at a 234 MB peak (the whole alexander
+# process, shared 2-core x86, Python 3.11.7).  Without the bound, an
+# earlier engine with string keys ran sigma^40 for 41 s and 657 MB.
 MAX_KEYED_DIAGRAMS = 2**19
 
 _SKEIN = HalfLaurent.s() - HalfLaurent.s(-1)
+
+_Key = tuple[int, ...]  # what canonical_key returns
 
 
 def first_violation(d: OrientedDiagram) -> int | None:
@@ -74,25 +84,26 @@ def conway(d: OrientedDiagram) -> HalfLaurent:
     n = len(d.crossings)
     if n > MAX_SKEIN_CROSSINGS:
         raise BudgetError(f"{n} crossings exceed the bound of {MAX_SKEIN_CROSSINGS}")
-    memo: dict[str, HalfLaurent] = {}
+    memo: dict[_Key, HalfLaurent] = {}
     root = canonical_key(d)
     keyed = 1
     # Each diagram is keyed once, where it is made, and carries its key on
-    # the stack.  An entry with ``prepared`` set is popped after both of its
-    # children and combines their values: (switched key, smoothed key,
-    # edge coefficient).
+    # the stack, with ``connected`` set when its surgery shows it non-split.
+    # An entry with ``prepared`` set is popped after both of its children
+    # and combines their values: (switched key, smoothed key, edge
+    # coefficient).
     stack: list[
-        tuple[OrientedDiagram, str, tuple[str, str, HalfLaurent] | None]
-    ] = [(d, root, None)]
+        tuple[OrientedDiagram, _Key, bool, tuple[_Key, _Key, HalfLaurent] | None]
+    ] = [(d, root, False, None)]
     while stack:
-        diagram, key, prepared = stack.pop()
+        diagram, key, connected, prepared = stack.pop()
         if prepared is not None:
             skey, mkey, edge = prepared
             memo[key] = memo[skey] + edge * memo[mkey]
             continue
         if key in memo:
             continue
-        if is_split(diagram):
+        if not connected and is_split(diagram):
             memo[key] = HalfLaurent.zero()
             continue
         cid = first_violation(diagram)
@@ -113,7 +124,8 @@ def conway(d: OrientedDiagram) -> HalfLaurent:
         skey = canonical_key(switched)
         mkey = canonical_key(smoothed)
         edge = _SKEIN if diagram.sign_of(cid) > 0 else -_SKEIN
-        stack.append((diagram, key, (skey, mkey, edge)))
-        stack.append((switched, skey, None))
-        stack.append((smoothed, mkey, None))
+        merged = len(smoothed.components) < len(diagram.components)
+        stack.append((diagram, key, True, (skey, mkey, edge)))
+        stack.append((switched, skey, True, None))
+        stack.append((smoothed, mkey, merged, None))
     return memo[root]

@@ -17,7 +17,7 @@ result through the unchecked ``OrientedDiagram._raw``.
 
 Nothing here tries to decide isotopy.  ``canonical_key`` only normalizes
 away the arbitrary internal crossing ids, which is exactly what a
-memoization key needs.
+memoization key needs; it is a tuple of ints.
 """
 from __future__ import annotations
 
@@ -153,25 +153,25 @@ def is_split(d: OrientedDiagram) -> bool:
     return len({find(i) for i in range(k)}) > 1
 
 
-def canonical_key(d: OrientedDiagram) -> str:
+def canonical_key(d: OrientedDiagram) -> tuple[int, ...]:
     """
     A serialization that is invariant under relabeling of crossing ids
-    (ids are renumbered by first encounter along the traversal).  Distinct
-    keys for structurally distinct diagrams, which makes it a sound
-    memoization key.
+    (ids are renumbered by first encounter along the traversal).  Each
+    passage is the int ``4*label + 2*over + (sign > 0)`` and ``-1`` closes
+    each component; the code is injective, so structurally distinct
+    diagrams get distinct keys, which makes it a sound memoization key.
     """
     signs = dict(d.crossings)
-    relabel: dict[int, int] = {}
-    pieces: list[str] = []
+    base: dict[int, int] = {}  # crossing id -> 4*label + (sign > 0)
+    key: list[int] = []
     for comp in d.components:
-        chunk: list[str] = []
         for cid, over in comp:
-            if cid not in relabel:
-                relabel[cid] = len(relabel)
-            sign = "+" if signs[cid] > 0 else "-"
-            chunk.append(f"{relabel[cid]}{'o' if over else 'u'}{sign}")
-        pieces.append(",".join(chunk))
-    return "|".join(pieces)
+            b = base.get(cid)
+            if b is None:
+                b = base[cid] = 4 * len(base) + (signs[cid] > 0)
+            key.append(b + 2 * over)
+        key.append(-1)
+    return tuple(key)
 
 
 def _locate(d: OrientedDiagram, cid: int) -> list[tuple[int, int, bool]]:

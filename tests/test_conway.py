@@ -172,6 +172,9 @@ def test_knot_symmetry_and_unit_evaluation():
 def test_each_diagram_keyed_once(monkeypatch):
     # The loop keys the root and each surgery result once, and decides each
     # node that is neither memoized nor split by one first_violation call.
+    # is_split runs only on the root and on smoothings that split a
+    # component: a switch, or a smoothing that merges two components, of a
+    # non-split diagram is not split.
     engine = sys.modules["linksgould.conway"]
     names = ("canonical_key", "is_split", "first_violation", "switch_crossing", "smooth_crossing")
     calls: dict[str, list] = {name: [] for name in names}
@@ -179,18 +182,30 @@ def test_each_diagram_keyed_once(monkeypatch):
 
         def wrapper(d, *rest, original=getattr(engine, name), seen=calls[name]):
             result = original(d, *rest)
-            seen.append((canonical_key(d), result))
+            seen.append((d, result))
             return result
 
         monkeypatch.setattr(engine, name, wrapper)
 
-    assert conway(closure("1 -2 1 3 -2 3 1 -2 -3")) == -s(2) + 3 - s(-2)
+    root = closure("1 -2 1 3 -2 3 1 -2 -3")
+    assert conway(root) == -s(2) + 3 - s(-2)
     surgeries = len(calls["switch_crossing"])
     assert surgeries == len(calls["smooth_crossing"]) == 186
     assert len(calls["canonical_key"]) == 1 + 2 * surgeries
-    decided = [key for key, _ in calls["first_violation"]]
-    assert decided == [key for key, split in calls["is_split"] if not split]
+    decided = [canonical_key(d) for d, _ in calls["first_violation"]]
     assert len(set(decided)) == len(decided)
+    # is_split checks the root and 82 of the 97 splitting smoothings; the
+    # other 15 are memoized before their turn.
+    checked = [d for d, _ in calls["is_split"]]
+    splitting = [
+        r for d, r in calls["smooth_crossing"] if component_count(r) > component_count(d)
+    ]
+    assert len(splitting) == 97
+    assert checked[0] is root
+    assert {id(d) for d in checked[1:]} <= {id(r) for r in splitting}
+    assert len(checked) == 83
+    found_split = {canonical_key(d) for d, split in calls["is_split"] if split}
+    assert found_split and not found_split & set(decided)
 
 
 def test_diagram_checked_once(monkeypatch):

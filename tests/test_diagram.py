@@ -145,30 +145,102 @@ def test_malformed_diagrams_rejected():
         OrientedDiagram(((0, 1), (0, -1)), (((0, True), (0, False)),))
 
 
-def test_surgery_results_pass_the_constructor_checks(monkeypatch):
+@pytest.fixture(scope="module")
+def resolution_surgeries():
+    """
+    Every (surgery, input, result) of the skein engine's full resolution of
+    200 seeded braids, 3-6 strands and 4-9 letters, recorded where conway
+    calls switch_crossing and smooth_crossing.
+    """
+    engine = importlib.import_module("linksgould.conway")
+    surgeries = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("switch_crossing", "smooth_crossing"):
+
+            def wrapper(d, cid, original=getattr(engine, name), name=name):
+                result = original(d, cid)
+                surgeries.append((name, d, result))
+                return result
+
+            mp.setattr(engine, name, wrapper)
+        rng = random.Random(25)
+        for _ in range(200):
+            n = rng.randint(3, 6)
+            letters = tuple(
+                (rng.randint(1, n - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(4, 9))
+            )
+            engine.conway(braid_closure(BraidWord(n, letters)))
+    return surgeries
+
+
+def test_surgery_results_pass_the_constructor_checks(resolution_surgeries):
     # Surgery builds its results unchecked, since a switch or smoothing of a
     # valid diagram is valid.  Every result of the skein engine's resolution
     # is rebuilt here through the checking constructor, which must accept it
     # and give back an equal record; a pickled result must round-trip.
-    engine = importlib.import_module("linksgould.conway")
-    results = []
-    for name in ("switch_crossing", "smooth_crossing"):
-
-        def wrapper(d, cid, original=getattr(engine, name)):
-            result = original(d, cid)
-            results.append(result)
-            return result
-
-        monkeypatch.setattr(engine, name, wrapper)
-    rng = random.Random(25)
-    for _ in range(200):
-        n = rng.randint(3, 6)
-        letters = tuple(
-            (rng.randint(1, n - 1), rng.choice((1, -1)))
-            for _ in range(rng.randint(4, 9))
-        )
-        engine.conway(braid_closure(BraidWord(n, letters)))
+    results = [r for _, _, r in resolution_surgeries]
     assert len(results) > 1000
     for r in results:
         assert OrientedDiagram(r.crossings, r.components) == r
         assert pickle.loads(pickle.dumps(r)) == r
+
+
+def test_surgery_keeps_non_split_diagrams_non_split(resolution_surgeries):
+    # conway runs is_split only on the root and on smoothings that split a
+    # component: a switch keeps the crossing-incidence graph, and a merging
+    # smoothing contracts one edge of it, so neither splits a non-split
+    # diagram.  A smoothing that splits a component can split the diagram.
+    split_smoothings = 0
+    for name, d, r in resolution_surgeries:
+        assert not is_split(d)
+        if name == "switch_crossing" or component_count(r) < component_count(d):
+            assert not is_split(r)
+        elif is_split(r):
+            split_smoothings += 1
+    assert split_smoothings > 0
+
+
+def oracle_key(d):
+    """The string memo key that canonical_key's int tuple replaced."""
+    signs = dict(d.crossings)
+    relabel: dict[int, int] = {}
+    pieces: list[str] = []
+    for comp in d.components:
+        chunk: list[str] = []
+        for cid, over in comp:
+            if cid not in relabel:
+                relabel[cid] = len(relabel)
+            sign = "+" if signs[cid] > 0 else "-"
+            chunk.append(f"{relabel[cid]}{'o' if over else 'u'}{sign}")
+        pieces.append(",".join(chunk))
+    return "|".join(pieces)
+
+
+def test_canonical_key_classes_match_the_string_oracle(resolution_surgeries):
+    # Two diagrams share an int-tuple key if and only if they share the
+    # string key, so memoization groups diagrams exactly as before.
+    strings_of: dict[tuple[int, ...], set[str]] = {}
+    keys_of: dict[str, set[tuple[int, ...]]] = {}
+    for _, d, r in resolution_surgeries:
+        for diagram in (d, r):
+            key, string = canonical_key(diagram), oracle_key(diagram)
+            strings_of.setdefault(key, set()).add(string)
+            keys_of.setdefault(string, set()).add(key)
+    assert len(strings_of) == len(keys_of) > 1000
+    assert all(len(v) == 1 for v in strings_of.values())
+    assert all(len(v) == 1 for v in keys_of.values())
+
+
+def test_canonical_key_marks_component_boundaries():
+    # The same passage sequence cut into components three ways: the Hopf
+    # link, one component through both crossings, and three components.
+    crossings = ((0, 1), (1, 1))
+    seq = ((0, True), (1, False), (0, False), (1, True))
+    cuts = [
+        (seq[:2], seq[2:]),
+        (seq,),
+        (seq[:1], seq[1:3], seq[3:]),
+    ]
+    keys = {canonical_key(OrientedDiagram(crossings, cut)) for cut in cuts}
+    assert len(keys) == len(cuts)
