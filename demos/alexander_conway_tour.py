@@ -46,9 +46,9 @@ print("  switch crossing 0 ->", conway(switch_crossing(trefoil, 0)).render("s"))
 sm = smooth_crossing(trefoil, 0)
 print("  smooth crossing 0 -> components", component_count(sm),
       "value", conway(sm).render("s"))
-# The engine memoizes on a tuple of ints, one per passage
-# (4*label + 2*over + positive sign), with -1 closing each component.
-print("  memo key of the trefoil:", canonical_key(trefoil))
+# The engine memoizes on bytes: each component's passage count, then one
+# byte per passage (4*label + 2*over + positive sign).
+print("  memo key of the trefoil:", list(canonical_key(trefoil)))
 
 # Invariance spot checks: Markov moves do not change the closure.
 w = parse_braid("1 -2 1 1", strands=3)

@@ -54,10 +54,10 @@ MAX_LG_K = 300
 # verify takes --max-m up to MAX_LG_M, as lg2braid does, and --max-k up to
 # MAX_VERIFY_K.  The skein side of a theorem cell, the closed 2-braid
 # sigma^k, grows about twelvefold in time per +8 in |k| (|k| = 24: 0.3 s,
-# 32: 3.3 s), so the crossing bound alone does not limit it; from |k| = 36
+# 32: 3.4 s), so the crossing bound alone does not limit it; from |k| = 36
 # conway stops at its MAX_KEYED_DIAGRAMS after about 11 s.  The worst case
-# at these bounds, verify theorem2 --max-m 16 --max-k 24, takes 150 s and
-# 111 MB (shared 2-core x86, Python 3.11.7).
+# at these bounds, verify theorem2 --max-m 16 --max-k 24, takes 134 s and
+# 110 MB (shared 2-core x86, Python 3.11.7).
 MAX_VERIFY_K = 24
 
 

@@ -16,14 +16,24 @@ Switching the first violation leaves the earlier traversal untouched, so
 the violation count drops by one; smoothing drops the crossing count.
 The pair (crossings, violations) decreases lexicographically on both
 branches, which is the termination measure.  Values are memoized on
-``canonical_key``, a tuple of ints.
+``canonical_key``, a short ``bytes``.
+
+Before a diagram is keyed, its kinks go: a crossing whose two passages
+are cyclically adjacent on one component is a curl, and Reidemeister I
+removes it without changing D.  The root and every smoothing lose their
+kinks; a switch keeps every adjacency of a kink-free parent, and a
+smoothing makes new ones only at its splices.  Removal only drops
+crossings, so the termination measure still decreases, and a component
+it empties is an unknotted circle, which ``is_split`` or the unlink base
+case values.
 
 Only the root and the smoothings of self-crossings run ``is_split``.  The
 other surgery results inherit non-split-ness from their parent, which was
 not split, or it would have had no surgery: a switch keeps every
 crossing, passage and component, so it has the parent's crossing-incidence
 graph; smoothing a crossing between two components contracts one edge of
-that connected graph, which leaves it connected.
+that connected graph, which leaves it connected.  A kink is a
+self-crossing, so removing one keeps the graph connected.
 """
 from __future__ import annotations
 
@@ -41,21 +51,54 @@ from .laurent import HalfLaurent
 __all__ = ["conway", "first_violation"]
 
 # conway refuses a diagram of more crossings than this; surgery never
-# increases the count, so no diagram in the resolution has more.
+# increases the count, so no diagram in the resolution has more.  It is
+# also the most that canonical_key's one-byte passage code can label.
 MAX_SKEIN_CROSSINGS = 64
 
 # The crossing bound does not limit the engine's cost, which grows with
 # the number of diagrams the resolution keys, so one conway call keys at
-# most this many.  The closed 2-braid sigma^24 keys 15 333 diagrams
-# (0.3 s) and sigma^32 176 065 (3.3 s, 90 MB); sigma^36 and longer reach
-# the bound after about 11 s at a 234 MB peak (the whole alexander
-# process, shared 2-core x86, Python 3.11.7).  Without the bound, an
-# earlier engine with string keys ran sigma^40 for 41 s and 657 MB.
+# most this many.  The closed 2-braid sigma^24 keys 15 329 diagrams
+# (0.3 s) and sigma^32 176 061 (3.4 s, 67 MB); sigma^36 and longer reach
+# the bound after about 11 s at a 159 MB peak, and the torus link T(4,6)
+# after 8.5 s at 112 MB (the whole alexander process, shared 2-core x86,
+# Python 3.11.7).  Without the bound, an earlier engine with string keys
+# ran sigma^40 for 41 s and 657 MB.
 MAX_KEYED_DIAGRAMS = 2**19
 
 _SKEIN = HalfLaurent.s() - HalfLaurent.s(-1)
 
-_Key = tuple[int, ...]  # what canonical_key returns
+_Key = bytes  # what canonical_key returns
+
+
+def _without_kinks(d: OrientedDiagram) -> OrientedDiagram:
+    """
+    The diagram with every kink removed, or ``d`` itself if it has none.
+
+    A kink is a crossing whose two passages are cyclically adjacent on one
+    component: a curl that Reidemeister I removes with the crossing and
+    both passages, which leaves Delta unchanged.  Removing one can make the
+    passages around it adjacent, so a chain of curls goes in one pass: a
+    passage that repeats the last kept crossing cancels it, and the ends
+    of what is kept then cancel across the wrap.  A component left with
+    no passage is an unknotted circle.
+    """
+    dropped: set[int] = set()
+    comps = []
+    for comp in d.components:
+        kept = []
+        for passage in comp:
+            if kept and kept[-1][0] == passage[0]:
+                dropped.add(kept.pop()[0])
+            else:
+                kept.append(passage)
+        while len(kept) > 1 and kept[0][0] == kept[-1][0]:
+            dropped.add(kept.pop()[0])
+            del kept[0]
+        comps.append(tuple(kept))
+    if not dropped:
+        return d
+    crossings = tuple(c for c in d.crossings if c[0] not in dropped)
+    return OrientedDiagram._raw(crossings, tuple(comps))
 
 
 def first_violation(d: OrientedDiagram) -> int | None:
@@ -75,8 +118,11 @@ def conway(d: OrientedDiagram) -> HalfLaurent:
     """
     The Alexander-Conway polynomial of a diagram, in s = t^(1/2).
 
-    A diagram of more than ``MAX_SKEIN_CROSSINGS`` crossings, or one whose
-    resolution keys more than ``MAX_KEYED_DIAGRAMS`` diagrams, raises
+    The root and every smoothing lose their kinks before they are keyed,
+    and each keyed diagram resolves at its first violation; the pair
+    (crossings, violations) falls on both branches, so the resolution
+    ends.  A diagram of more than ``MAX_SKEIN_CROSSINGS`` crossings, or one
+    whose resolution keys more than ``MAX_KEYED_DIAGRAMS`` diagrams, raises
     BudgetError rather than silently truncating.
 
     The memo table is local to one call.
@@ -85,13 +131,14 @@ def conway(d: OrientedDiagram) -> HalfLaurent:
     if n > MAX_SKEIN_CROSSINGS:
         raise BudgetError(f"{n} crossings exceed the bound of {MAX_SKEIN_CROSSINGS}")
     memo: dict[_Key, HalfLaurent] = {}
+    d = _without_kinks(d)
     root = canonical_key(d)
     keyed = 1
-    # Each diagram is keyed once, where it is made, and carries its key on
-    # the stack, with ``connected`` set when its surgery shows it non-split.
-    # An entry with ``prepared`` set is popped after both of its children
-    # and combines their values: (switched key, smoothed key, edge
-    # coefficient).
+    # Each diagram is keyed once, where it is made and its kinks are gone,
+    # and carries its key on the stack, with ``connected`` set when its
+    # surgery shows it non-split.  An entry with ``prepared`` set is popped
+    # after both of its children and combines their values: (switched key,
+    # smoothed key, edge coefficient).
     stack: list[
         tuple[OrientedDiagram, _Key, bool, tuple[_Key, _Key, HalfLaurent] | None]
     ] = [(d, root, False, None)]
@@ -120,7 +167,7 @@ def conway(d: OrientedDiagram) -> HalfLaurent:
                 f"the skein resolution keys more than {MAX_KEYED_DIAGRAMS} diagrams"
             )
         switched = switch_crossing(diagram, cid)
-        smoothed = smooth_crossing(diagram, cid)
+        smoothed = _without_kinks(smooth_crossing(diagram, cid))
         skey = canonical_key(switched)
         mkey = canonical_key(smoothed)
         edge = _SKEIN if diagram.sign_of(cid) > 0 else -_SKEIN

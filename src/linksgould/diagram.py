@@ -17,7 +17,7 @@ result through the unchecked ``OrientedDiagram._raw``.
 
 Nothing here tries to decide isotopy.  ``canonical_key`` only normalizes
 away the arbitrary internal crossing ids, which is exactly what a
-memoization key needs; it is a tuple of ints.
+memoization key needs; it is a short ``bytes``.
 """
 from __future__ import annotations
 
@@ -153,25 +153,31 @@ def is_split(d: OrientedDiagram) -> bool:
     return len({find(i) for i in range(k)}) > 1
 
 
-def canonical_key(d: OrientedDiagram) -> tuple[int, ...]:
+def canonical_key(d: OrientedDiagram) -> bytes:
     """
     A serialization that is invariant under relabeling of crossing ids
     (ids are renumbered by first encounter along the traversal).  Each
-    passage is the int ``4*label + 2*over + (sign > 0)`` and ``-1`` closes
-    each component; the code is injective, so structurally distinct
-    diagrams get distinct keys, which makes it a sound memoization key.
+    component is one byte for its passage count, then one byte per
+    passage, ``4*label + 2*over + (sign > 0)``; the code is injective, so
+    structurally distinct diagrams get distinct keys, which makes it a
+    sound memoization key.  Labels below 64 keep every code within a
+    byte, so a diagram of more than 64 crossings raises ValueError.
     """
+    if len(d.crossings) > 64:
+        raise ValueError(
+            f"{len(d.crossings)} crossings exceed the 64 that a one-byte key labels"
+        )
     signs = dict(d.crossings)
     base: dict[int, int] = {}  # crossing id -> 4*label + (sign > 0)
     key: list[int] = []
     for comp in d.components:
+        key.append(len(comp))
         for cid, over in comp:
             b = base.get(cid)
             if b is None:
                 b = base[cid] = 4 * len(base) + (signs[cid] > 0)
             key.append(b + 2 * over)
-        key.append(-1)
-    return tuple(key)
+    return bytes(key)
 
 
 def _locate(d: OrientedDiagram, cid: int) -> list[tuple[int, int, bool]]:

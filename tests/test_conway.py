@@ -102,14 +102,14 @@ def test_budget_enforced(monkeypatch):
 
 
 def test_keyed_diagram_bound(monkeypatch, capsys):
-    # sigma^24 keys 15 333 diagrams, far below the fixed bound; lowered,
+    # sigma^24 keys 15 329 diagrams, far below the fixed bound; lowered,
     # the bound stops the resolution with BudgetError, which exits 3.
     engine = sys.modules["linksgould.conway"]
     word = " ".join(["1"] * 24)
-    monkeypatch.setattr(engine, "MAX_KEYED_DIAGRAMS", 15333)
+    monkeypatch.setattr(engine, "MAX_KEYED_DIAGRAMS", 15329)
     assert conway(closure(word)).evaluate_at_one() == 0
-    monkeypatch.setattr(engine, "MAX_KEYED_DIAGRAMS", 15332)
-    with pytest.raises(BudgetError, match="keys more than 15332 diagrams"):
+    monkeypatch.setattr(engine, "MAX_KEYED_DIAGRAMS", 15328)
+    with pytest.raises(BudgetError, match="keys more than 15328 diagrams"):
         conway(closure(word))
     monkeypatch.setattr(engine, "MAX_KEYED_DIAGRAMS", 1000)
     assert main(["alexander", word]) == 3
@@ -170,13 +170,16 @@ def test_knot_symmetry_and_unit_evaluation():
 
 
 def test_each_diagram_keyed_once(monkeypatch):
-    # The loop keys the root and each surgery result once, and decides each
-    # node that is neither memoized nor split by one first_violation call.
-    # is_split runs only on the root and on smoothings that split a
-    # component: a switch, or a smoothing that merges two components, of a
-    # non-split diagram is not split.
+    # The loop keys the root and each surgery result once, after removing
+    # their kinks, and decides each node that is neither memoized nor split
+    # by one first_violation call.  is_split runs only on the root and on
+    # smoothings that split a component: a switch, or a smoothing that
+    # merges two components, of a non-split diagram is not split.
     engine = sys.modules["linksgould.conway"]
-    names = ("canonical_key", "is_split", "first_violation", "switch_crossing", "smooth_crossing")
+    names = (
+        "canonical_key", "is_split", "first_violation", "switch_crossing",
+        "smooth_crossing", "_without_kinks",
+    )
     calls: dict[str, list] = {name: [] for name in names}
     for name in names:
 
@@ -190,27 +193,35 @@ def test_each_diagram_keyed_once(monkeypatch):
     root = closure("1 -2 1 3 -2 3 1 -2 -3")
     assert conway(root) == -s(2) + 3 - s(-2)
     surgeries = len(calls["switch_crossing"])
-    assert surgeries == len(calls["smooth_crossing"]) == 186
+    assert surgeries == len(calls["smooth_crossing"]) == 123
     assert len(calls["canonical_key"]) == 1 + 2 * surgeries
     decided = [canonical_key(d) for d, _ in calls["first_violation"]]
     assert len(set(decided)) == len(decided)
-    # is_split checks the root and 82 of the 97 splitting smoothings; the
-    # other 15 are memoized before their turn.
+    # Kinks go from the root, which has none, and from every smoothing.
+    (root_in, root_out), *unkinked = calls["_without_kinks"]
+    assert root_in is root_out is root
+    assert len(unkinked) == surgeries
+    assert all(m is r for (m, _), (_, r) in zip(unkinked, calls["smooth_crossing"]))
+    # is_split checks the root and 41 of the 52 splitting smoothings; the
+    # other 11 are memoized before their turn.
     checked = [d for d, _ in calls["is_split"]]
     splitting = [
-        r for d, r in calls["smooth_crossing"] if component_count(r) > component_count(d)
+        r
+        for (d, _), (_, r) in zip(calls["smooth_crossing"], unkinked)
+        if component_count(r) > component_count(d)
     ]
-    assert len(splitting) == 97
+    assert len(splitting) == 52
     assert checked[0] is root
     assert {id(d) for d in checked[1:]} <= {id(r) for r in splitting}
-    assert len(checked) == 83
+    assert len(checked) == 42
     found_split = {canonical_key(d) for d, split in calls["is_split"] if split}
     assert found_split and not found_split & set(decided)
 
 
 def test_diagram_checked_once(monkeypatch):
-    # The closure is checked where it enters; the 372 diagrams that surgery
-    # makes from it during the resolution are not checked again.
+    # The closure is checked where it enters; the 246 diagrams that surgery
+    # makes from it during the resolution, and the kink-free copies of the
+    # smoothings, are not checked again.
     checked = []
     original = OrientedDiagram.__init__
 

@@ -244,3 +244,11 @@ def test_canonical_key_marks_component_boundaries():
     ]
     keys = {canonical_key(OrientedDiagram(crossings, cut)) for cut in cuts}
     assert len(keys) == len(cuts)
+
+
+def test_key_labels_at_most_64_crossings():
+    # 64 labels fill the one-byte passage code; a 65th has no code.
+    key = canonical_key(braid_closure(BraidWord(2, ((1, 1),) * 64)))
+    assert len(key) == 2 + 128 and max(key) == 255
+    with pytest.raises(ValueError, match="65 crossings exceed the 64"):
+        canonical_key(braid_closure(BraidWord(2, ((1, 1),) * 65)))

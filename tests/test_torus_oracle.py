@@ -10,8 +10,8 @@ of degree (p-1)(q-1), centred and written in x = s^2.  LG^(1,1) is Delta
 at s -> t.  ``tensor eval`` must print it up to the tensor engine's letter
 bound, for knots (d = 1) and links (d > 1) alike.  The skein engine must
 give it where it fits: on every closed 2-braid that a theorem cell reads,
-whose Delta is the right side of that cell, and on torus links of 3 to 5
-strands up to 14 letters.  Torus words with q >= 2
+whose Delta is the right side of that cell, on torus links of 3 to 5
+strands up to 14 letters, and on T(6,3).  Torus words with q >= 2
 cancel nothing, use every generator and hold s_{p-1} q times, so the
 reduction leaves them as they are, and these cells check the engine on
 long words.
@@ -93,8 +93,11 @@ def test_skein_engine_matches_closed_form_on_closed_2braids(k):
     assert value.substitute_power(1) == torus_alexander(2, abs(k))
 
 
-# Torus links on 3 to 5 strands, within about 14 letters of the skein engine.
+# Torus links on 3 to 5 strands, within about 14 letters of the skein
+# engine, and T(6,3) at 15 letters, whose smoothings curl up: with the
+# curls removed, its resolution keys 8 093 diagrams.
 SKEIN_CASES = [(p, q) for p in (3, 4, 5) for q in range(2, 15) if (p - 1) * q <= 14]
+SKEIN_CASES.append((6, 3))
 
 
 @pytest.mark.parametrize("p, q", SKEIN_CASES)
