@@ -41,8 +41,8 @@ __all__ = ["main"]
 # validate before any check runs; tensor eval checks strands and letters
 # before it loads a fixture, then bounds the braid's width D^(2n-1), all on
 # the word as typed, and then evaluates the reduced word; tensor.py gives
-# what those bounds cost.  The skein engine's crossing bound,
-# MAX_SKEIN_CROSSINGS, is defined in conway.py.
+# what those bounds cost.  The skein engine's crossing bound is conway.py's
+# MAX_SKEIN_CROSSINGS, the most crossings diagram.py's memo key labels.
 MAX_ALEXANDER_STRANDS = 1000
 # lg2braid takes |--k| up to MAX_LG_K.  Its cost in |k| depends on m: at
 # m = 16 it hardly grows (|k| = 300: 2.6 s, 86 MB; 10^6: 2.5 s, 88 MB), at

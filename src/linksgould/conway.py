@@ -10,7 +10,9 @@ relation forces (s - s^-1) D = 0).
 
 Resolution strategy: walk the components in order, each from its first passage;
 if every crossing is first met on its over strand the diagram is
-descending.  Otherwise take the first violating crossing c and resolve
+descending.  Otherwise take the first violation, the passage
+(c, False, sign(c)) that first meets a crossing c on its under strand,
+and resolve
     D(d) = D(switch c) + sign(c) * (s - s^-1) * D(smooth c).
 Switching the first violation leaves the earlier traversal untouched, so
 the violation count drops by one; smoothing drops the crossing count.
@@ -38,6 +40,7 @@ self-crossing, so removing one keeps the graph connected.
 from __future__ import annotations
 
 from .diagram import (
+    _KEY_CROSSINGS,
     OrientedDiagram,
     canonical_key,
     component_count,
@@ -52,8 +55,8 @@ __all__ = ["conway", "first_violation"]
 
 # conway refuses a diagram of more crossings than this; surgery never
 # increases the count, so no diagram in the resolution has more.  It is
-# also the most that canonical_key's one-byte passage code can label.
-MAX_SKEIN_CROSSINGS = 64
+# diagram's limit, the most that canonical_key's one-byte code labels.
+MAX_SKEIN_CROSSINGS = _KEY_CROSSINGS
 
 # The crossing bound does not limit the engine's cost, which grows with
 # the number of diagrams the resolution keys, so one conway call keys at
@@ -82,35 +85,33 @@ def _without_kinks(d: OrientedDiagram) -> OrientedDiagram:
     of what is kept then cancel across the wrap.  A component left with
     no passage is an unknotted circle.
     """
-    dropped: set[int] = set()
     comps = []
     for comp in d.components:
         kept = []
         for passage in comp:
             if kept and kept[-1][0] == passage[0]:
-                dropped.add(kept.pop()[0])
+                kept.pop()
             else:
                 kept.append(passage)
         while len(kept) > 1 and kept[0][0] == kept[-1][0]:
-            dropped.add(kept.pop()[0])
-            del kept[0]
+            kept = kept[1:-1]
         comps.append(tuple(kept))
-    if not dropped:
+    if sum(map(len, comps)) == sum(map(len, d.components)):
         return d
-    crossings = tuple(c for c in d.crossings if c[0] not in dropped)
-    return OrientedDiagram._raw(crossings, tuple(comps))
+    return OrientedDiagram._raw(tuple(comps))
 
 
-def first_violation(d: OrientedDiagram) -> int | None:
-    """The first crossing met on its under strand, or None if descending."""
+def first_violation(d: OrientedDiagram) -> tuple[int, bool, int] | None:
+    """The passage that first meets a crossing on its under strand, or None if descending."""
     seen: set[int] = set()
     for comp in d.components:
-        for cid, over in comp:
+        for passage in comp:
+            cid = passage[0]
             if cid in seen:
                 continue
             seen.add(cid)
-            if not over:
-                return cid
+            if not passage[1]:
+                return passage
     return None
 
 
@@ -127,7 +128,7 @@ def conway(d: OrientedDiagram) -> HalfLaurent:
 
     The memo table is local to one call.
     """
-    n = len(d.crossings)
+    n = sum(map(len, d.components)) // 2  # each crossing is passed twice
     if n > MAX_SKEIN_CROSSINGS:
         raise BudgetError(f"{n} crossings exceed the bound of {MAX_SKEIN_CROSSINGS}")
     memo: dict[_Key, HalfLaurent] = {}
@@ -153,8 +154,8 @@ def conway(d: OrientedDiagram) -> HalfLaurent:
         if not connected and is_split(diagram):
             memo[key] = HalfLaurent.zero()
             continue
-        cid = first_violation(diagram)
-        if cid is None:  # descending: an unlink
+        violation = first_violation(diagram)
+        if violation is None:  # descending: an unlink
             memo[key] = (
                 HalfLaurent.one()
                 if component_count(diagram) == 1
@@ -166,11 +167,12 @@ def conway(d: OrientedDiagram) -> HalfLaurent:
             raise BudgetError(
                 f"the skein resolution keys more than {MAX_KEYED_DIAGRAMS} diagrams"
             )
+        cid, _, sign = violation
         switched = switch_crossing(diagram, cid)
         smoothed = _without_kinks(smooth_crossing(diagram, cid))
         skey = canonical_key(switched)
         mkey = canonical_key(smoothed)
-        edge = _SKEIN if diagram.sign_of(cid) > 0 else -_SKEIN
+        edge = _SKEIN if sign > 0 else -_SKEIN
         merged = len(smoothed.components) < len(diagram.components)
         stack.append((diagram, key, True, (skey, mkey, edge)))
         stack.append((switched, skey, True, None))

@@ -1,13 +1,15 @@
 """
 Oriented link diagrams as signed Gauss data, plus crossing surgery.
 
-A diagram is a set of signed crossings together with one cyclic passage
-sequence per component: walking a component from its first passage visits
-crossings in order, each passage marked over or under.  Every crossing is
-visited exactly twice, once on each strand.  This is all the structure
-the skein engine needs: switching a crossing flips its sign and flags,
-and the oriented smoothing splices the passage sequences (splitting one
-component or merging two, so the component count always moves by one).
+A diagram is its passages: one cyclic passage sequence per component,
+and walking a component from its first passage visits crossings in
+order.  A passage is ``(crossing id, over, sign)``: the crossing, whether
+this strand goes over it, and the crossing's sign.  Every crossing is
+visited exactly twice, once on each strand, and both passages carry its
+sign.  This is all the structure the skein engine needs: switching a
+crossing flips its sign and flags, and the oriented smoothing splices the
+passage sequences (splitting one component or merging two, so the
+component count always moves by one).
 
 A diagram is checked once, where it enters: ``OrientedDiagram(...)``
 refuses malformed Gauss data, whether it comes from ``braid_closure``,
@@ -34,50 +36,35 @@ __all__ = [
     "canonical_key",
 ]
 
-Passage = tuple[int, bool]  # (crossing id, met on the over strand?)
+Passage = tuple[int, bool, int]  # (crossing id, met on the over strand?, sign)
+
+_KEY_CROSSINGS = 64  # canonical_key's labels: 4*label + 3 must fit in a byte
 
 
 class OrientedDiagram(Record):
-    __slots__ = ("crossings", "components")
+    __slots__ = ("components",)
 
-    def __init__(
-        self,
-        crossings: tuple[tuple[int, int], ...],  # (id, sign)
-        components: tuple[tuple[Passage, ...], ...],
-    ):
-        seen: dict[int, list[bool]] = {}
+    def __init__(self, components: tuple[tuple[Passage, ...], ...]):
+        seen: dict[int, list[tuple[bool, int]]] = {}
         for comp in components:
-            for cid, over in comp:
-                seen.setdefault(cid, []).append(over)
-        ids = {cid for cid, _ in crossings}
-        if len(ids) != len(crossings):
-            raise ValueError("crossing list names a crossing more than once")
-        if set(seen) != ids:
-            raise ValueError("passage crossing ids do not match crossing list")
-        for cid, flags in seen.items():
-            if len(flags) != 2 or flags[0] == flags[1]:
-                raise ValueError(
-                    f"crossing {cid} must be passed exactly twice, over and under"
-                )
-        for cid, sign in crossings:
+            for cid, over, sign in comp:
+                seen.setdefault(cid, []).append((over, sign))
+        for cid, passed in seen.items():
+            if len(passed) != 2 or passed[0][0] == passed[1][0]:
+                raise ValueError(f"crossing {cid} must be passed exactly twice, over and under")
+            (_, sign), (_, other) = passed
+            if sign != other:
+                raise ValueError(f"crossing {cid} is passed with signs {sign} and {other}")
             if sign not in (1, -1):
                 raise ValueError(f"crossing {cid} has sign {sign}")
-        object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "components", components)
 
     @classmethod
-    def _raw(cls, crossings, components) -> OrientedDiagram:
-        """Wrap fields already known to form a valid diagram, unchecked."""
+    def _raw(cls, components) -> OrientedDiagram:
+        """Wrap passages already known to form a valid diagram, unchecked."""
         d = cls.__new__(cls)
-        object.__setattr__(d, "crossings", crossings)
         object.__setattr__(d, "components", components)
         return d
-
-    def sign_of(self, cid: int) -> int:
-        for c, sign in self.crossings:
-            if c == cid:
-                return sign
-        raise KeyError(f"no crossing {cid}")
 
 
 def braid_closure(word: BraidWord) -> OrientedDiagram:
@@ -95,8 +82,8 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
     for cid, (idx, sign) in enumerate(word.letters):
         i = idx - 1
         left, right = pos[i], pos[i + 1]
-        passages[left].append((cid, sign == 1))
-        passages[right].append((cid, sign == -1))
+        passages[left].append((cid, sign == 1, sign))
+        passages[right].append((cid, sign == -1, sign))
         pos[i], pos[i + 1] = right, left
     end = word.permutation()
     comps: list[tuple[Passage, ...]] = []
@@ -114,10 +101,7 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
             first = min(range(len(cycle)), key=lambda k: cycle[k][0])
             cycle = cycle[first:] + cycle[:first]
         comps.append(tuple(cycle))
-    return OrientedDiagram(
-        crossings=tuple((cid, sign) for cid, (idx, sign) in enumerate(word.letters)),
-        components=tuple(comps),
-    )
+    return OrientedDiagram(tuple(comps))
 
 
 def component_count(d: OrientedDiagram) -> int:
@@ -143,7 +127,7 @@ def is_split(d: OrientedDiagram) -> bool:
 
     where: dict[int, int] = {}
     for ci, comp in enumerate(d.components):
-        for cid, _ in comp:
+        for cid, _, _ in comp:
             if cid in where:
                 ra, rb = find(where[cid]), find(ci)
                 if ra != rb:
@@ -163,30 +147,30 @@ def canonical_key(d: OrientedDiagram) -> bytes:
     sound memoization key.  Labels below 64 keep every code within a
     byte, so a diagram of more than 64 crossings raises ValueError.
     """
-    if len(d.crossings) > 64:
-        raise ValueError(
-            f"{len(d.crossings)} crossings exceed the 64 that a one-byte key labels"
-        )
-    signs = dict(d.crossings)
     base: dict[int, int] = {}  # crossing id -> 4*label + (sign > 0)
     key: list[int] = []
     for comp in d.components:
         key.append(len(comp))
-        for cid, over in comp:
+        for cid, over, sign in comp:
             b = base.get(cid)
             if b is None:
-                b = base[cid] = 4 * len(base) + (signs[cid] > 0)
+                b = base[cid] = 4 * len(base) + (sign > 0)
             key.append(b + 2 * over)
+    if len(base) > _KEY_CROSSINGS:
+        raise ValueError(
+            f"{len(base)} crossings exceed the {_KEY_CROSSINGS} that a one-byte key labels"
+        )
     return bytes(key)
 
 
-def _locate(d: OrientedDiagram, cid: int) -> list[tuple[int, int, bool]]:
-    """Both passages of a crossing as (component index, position, over)."""
-    hits = []
-    for ci, comp in enumerate(d.components):
-        for p, (c, over) in enumerate(comp):
-            if c == cid:
-                hits.append((ci, p, over))
+def _locate(d: OrientedDiagram, cid: int) -> list[tuple[int, int]]:
+    """Both passages of a crossing as (component index, position)."""
+    hits = [
+        (ci, p)
+        for ci, comp in enumerate(d.components)
+        for p, passage in enumerate(comp)
+        if passage[0] == cid
+    ]
     if len(hits) != 2:
         raise KeyError(f"no crossing {cid}")
     return hits
@@ -194,15 +178,12 @@ def _locate(d: OrientedDiagram, cid: int) -> list[tuple[int, int, bool]]:
 
 def switch_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
     """Flip one crossing: sign negated, over and under exchanged."""
-    d.sign_of(cid)  # raises for unknown ids
-    crossings = tuple(
-        (c, -sign) if c == cid else (c, sign) for c, sign in d.crossings
-    )
-    components = tuple(
-        tuple((c, not over) if c == cid else (c, over) for c, over in comp)
-        for comp in d.components
-    )
-    return OrientedDiagram._raw(crossings, components)
+    comps = list(d.components)
+    for ci, p in _locate(d, cid):
+        comp = comps[ci]
+        _, over, sign = comp[p]
+        comps[ci] = comp[:p] + ((cid, not over, -sign),) + comp[p + 1 :]
+    return OrientedDiagram._raw(tuple(comps))
 
 
 def smooth_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
@@ -212,8 +193,7 @@ def smooth_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
     component in two; a crossing between two components merges them.
     New components start at the splice.
     """
-    (c1, p1, _), (c2, p2, _) = _locate(d, cid)
-    crossings = tuple((c, s) for c, s in d.crossings if c != cid)
+    (c1, p1), (c2, p2) = _locate(d, cid)
     comps = list(d.components)
     if c1 == c2:
         seq = comps[c1]
@@ -227,4 +207,4 @@ def smooth_crossing(d: OrientedDiagram, cid: int) -> OrientedDiagram:
         keep, drop = min(c1, c2), max(c1, c2)
         comps[keep] = merged
         del comps[drop]
-    return OrientedDiagram._raw(crossings, tuple(comps))
+    return OrientedDiagram._raw(tuple(comps))

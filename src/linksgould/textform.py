@@ -12,7 +12,8 @@ Alexander-Conway values use the variables ``s`` and ``t`` with t = s^2.
 
 Every operation is bounded: before it runs, the parser bounds the size of
 its result by the operands' lowest and highest exponents, and refuses it
-with BudgetError when that size exceeds ``MAX_EXPRESSION_TERMS``.  So is
+with BudgetError when that size exceeds ``MAX_EXPRESSION_TERMS``, or, for
+a power, when its coefficients could pass a digit bound.  So is
 the nesting: an expression deeper than ``MAX_EXPRESSION_DEPTH`` levels of
 parentheses and unary minus signs is refused with BudgetError before the
 parser recurses past it, and so is an integer of more than
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import re
-from math import prod
+from math import log10, prod
 
 from .errors import BudgetError, ParseError
 from .laurent import HalfLaurent, Laurent2
@@ -54,6 +55,11 @@ MAX_EXPRESSION_DEPTH = 50
 # for a 1 000-digit N and in 0.15 s for 4 000 digits (2-core x86, Python
 # 3.11.7).
 MAX_INTEGER_DIGITS = 1000
+# A power p^e is refused before it runs when its largest coefficient, at
+# most (sum of |c| over p's coefficients)^e, could pass this many digits.
+# Unbounded, 3^10000000 took 4.2 s (2-core x86, Python 3.11.7); caps
+# divided by (t + Nq + 3)^4 for a 1 000-digit N need 4 000 digits.
+_MAX_POWER_DIGITS = 10 * MAX_INTEGER_DIGITS
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -98,6 +104,16 @@ def _check_size(num: Box | None, den: Box | None) -> None:
             f"an expression could reach {size} terms, "
             f"above the bound of {MAX_EXPRESSION_TERMS}"
         )
+
+
+def _check_digits(v, e: int) -> None:
+    """Refuse v^e and v^-e if a coefficient could pass _MAX_POWER_DIGITS digits."""
+    for part in (v.num, v.den) if isinstance(v, RationalFn) else (v,):
+        total = sum(abs(c) for _, c in part.terms())
+        if total > 1 and e > _MAX_POWER_DIGITS / log10(total):
+            raise BudgetError(
+                f"a power's coefficients could exceed the bound of {_MAX_POWER_DIGITS} digits"
+            )
 
 
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([a-zA-Z])|(\^|\*|/|\+|-|\(|\)))")
@@ -214,6 +230,7 @@ class _Parser:
             # leaves the larger of the two as it is.
             num, den = _fraction_boxes(base)
             _check_size(_power_box(num, e), _power_box(den, e))
+            _check_digits(base, e)
             return base ** (-e if neg else e)
         return base
 

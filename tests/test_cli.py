@@ -231,6 +231,20 @@ def test_fixture_entry_size_bound(capsys, tmp_path, entry):
     assert "above the bound of 200" in err
 
 
+def test_fixture_entry_power_digit_bound(capsys, tmp_path):
+    # A power of a constant has a one-point exponent box; its digits are
+    # bounded instead, so the entry is refused while parsing.  Unbounded,
+    # parsing it alone took 4.2 s.
+    path = tmp_path / "lg11.json"
+    dump_fixture(lg11_fixture(), path)
+    doc = json.loads(path.read_text())
+    doc["R"][0][0] = "3^10000000"
+    path.write_text(json.dumps(doc))
+    err = run_over_bound(capsys, "tensor", "eval", "--fixture", str(path), "--braid", "1 1 1")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "could exceed the bound of 10000 digits" in err
+
+
 @pytest.mark.parametrize(
     "entry",
     ["(" * 200 + "t" + ")" * 200, "(" * 51 + "t" + ")" * 51, "-" * 2000 + "t"],

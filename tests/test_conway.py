@@ -48,7 +48,33 @@ def test_descending_detector():
     assert v is not None
     from linksgould.diagram import switch_crossing
 
-    assert first_violation(switch_crossing(d, v)) is None
+    assert first_violation(switch_crossing(d, v[0])) is None
+
+
+def test_first_violation_is_the_under_passage():
+    # The violation is the passage itself, (cid, False, sign), so the skein
+    # edge reads the crossing's sign from it.
+    assert first_violation(closure("1 1")) == (1, False, 1)
+    assert first_violation(closure("-1 -1")) == (0, False, -1)
+    assert first_violation(closure("1 -2 1 -2")) == (1, False, -1)
+    rng = random.Random(45)
+    found = 0
+    for _ in range(100):
+        d = braid_closure(random_word(rng))
+        v = first_violation(d)
+        if v is None:
+            continue
+        found += 1
+        passages = [p for comp in d.components for p in comp]
+        cid, over, sign = v
+        assert v in passages and over is False
+        # The first passage of every crossing met before it is over.
+        before = passages[: passages.index(v)]
+        firsts = {}
+        for p in before:
+            firsts.setdefault(p[0], p)
+        assert cid not in firsts and all(p[1] for p in firsts.values())
+    assert found > 50
 
 
 def test_closed_2braid_oracle():

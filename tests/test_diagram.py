@@ -25,6 +25,11 @@ def random_word(rng, max_strands=4, max_letters=10):
     return BraidWord(n, letters)
 
 
+def signs(d):
+    """Each crossing id of the diagram mapped to its sign, read off the passages."""
+    return {cid: sign for comp in d.components for cid, _, sign in comp}
+
+
 def cycle_count(perm):
     seen = [False] * len(perm)
     cycles = 0
@@ -51,9 +56,25 @@ def test_closure_examples():
     assert component_count(braid_closure(parse_braid("1 1 1"))) == 1
     assert component_count(braid_closure(parse_braid("1 1"))) == 2
     ident = braid_closure(parse_braid("", strands=2))
-    assert component_count(ident) == 2 and len(ident.crossings) == 0
-    assert sum(sign for _, sign in braid_closure(parse_braid("1 1 1")).crossings) == 3
-    assert sum(sign for _, sign in braid_closure(parse_braid("-1 -1")).crossings) == -2
+    assert component_count(ident) == 2 and len(signs(ident)) == 0
+    assert sum(signs(braid_closure(parse_braid("1 1 1"))).values()) == 3
+    assert sum(signs(braid_closure(parse_braid("-1 -1"))).values()) == -2
+
+
+def test_a_diagram_is_its_passages():
+    # Each passage is (crossing id, over, sign), and both passages of a
+    # crossing carry the sign of its braid letter; there is no second
+    # structure to agree with them.
+    assert OrientedDiagram.__slots__ == ("components",)
+    w = parse_braid("1 -2 1 -2 -1")
+    d = braid_closure(w)
+    assert not hasattr(d, "crossings") and not hasattr(d, "sign_of")
+    passages = sorted(p for comp in d.components for p in comp)
+    assert passages == sorted(
+        (cid, over, sign)
+        for cid, (_, sign) in enumerate(w.letters)
+        for over in (True, False)
+    )
 
 
 def test_split_detection():
@@ -74,7 +95,7 @@ def test_switch_is_involution():
         if not w.letters:
             continue
         d = braid_closure(w)
-        cid = rng.randrange(len(d.crossings))
+        cid = rng.randrange(len(signs(d)))
         assert switch_crossing(switch_crossing(d, cid), cid) == d
         assert component_count(switch_crossing(d, cid)) == component_count(d)
 
@@ -86,17 +107,17 @@ def test_smooth_changes_components_by_one():
         if not w.letters:
             continue
         d = braid_closure(w)
-        cid = rng.randrange(len(d.crossings))
+        cid = rng.randrange(len(signs(d)))
         sm = smooth_crossing(d, cid)
         assert abs(component_count(sm) - component_count(d)) == 1
-        assert len(sm.crossings) == len(d.crossings) - 1
+        assert len(signs(sm)) == len(signs(d)) - 1
 
 
 def test_smooth_hopf_gives_kinked_unknot():
     d = braid_closure(parse_braid("1 1"))
     sm = smooth_crossing(d, 0)
     assert component_count(sm) == 1
-    assert len(sm.crossings) == 1
+    assert len(signs(sm)) == 1
 
 
 def test_unknown_crossing_rejected():
@@ -109,8 +130,7 @@ def test_unknown_crossing_rejected():
 
 def relabeled(d, mapping):
     return OrientedDiagram(
-        tuple((mapping[c], s) for c, s in d.crossings),
-        tuple(tuple((mapping[c], o) for c, o in comp) for comp in d.components),
+        tuple(tuple((mapping[c], o, s) for c, o, s in comp) for comp in d.components)
     )
 
 
@@ -119,7 +139,7 @@ def test_canonical_key_relabel_invariant():
     for _ in range(40):
         w = random_word(rng)
         d = braid_closure(w)
-        ids = [c for c, _ in d.crossings]
+        ids = list(signs(d))
         shuffled = ids[:]
         rng.shuffle(shuffled)
         mapping = dict(zip(ids, (x + 100 for x in shuffled)))
@@ -133,16 +153,24 @@ def test_canonical_key_distinguishes_signs_and_flags():
 
 
 def test_malformed_diagrams_rejected():
-    with pytest.raises(ValueError):
-        OrientedDiagram(((0, 1),), (((0, True), (0, True)),))
-    with pytest.raises(ValueError):
-        OrientedDiagram(((0, 1),), (((0, True),),))
-    with pytest.raises(ValueError):
-        OrientedDiagram(((0, 2),), (((0, True), (0, False)),))
-    # A crossing listed twice, with two signs: sign_of and canonical_key
-    # would read different ones.
-    with pytest.raises(ValueError):
-        OrientedDiagram(((0, 1), (0, -1)), (((0, True), (0, False)),))
+    twice = "must be passed exactly twice, over and under"
+    # Both passages over.
+    with pytest.raises(ValueError, match=twice):
+        OrientedDiagram((((0, True, 1), (0, True, 1)),))
+    # A crossing passed once, or three times.
+    with pytest.raises(ValueError, match=twice):
+        OrientedDiagram((((0, True, 1),),))
+    with pytest.raises(ValueError, match=twice):
+        OrientedDiagram((((0, True, 1), (0, False, 1), (0, True, 1)),))
+    # A sign of 2.
+    with pytest.raises(ValueError, match="crossing 0 has sign 2"):
+        OrientedDiagram((((0, True, 2), (0, False, 2)),))
+    # Two passages with different signs: the switch, the key and the skein
+    # edge would read different ones.
+    with pytest.raises(ValueError, match="crossing 0 is passed with signs 1 and -1"):
+        OrientedDiagram((((0, True, 1), (0, False, -1)),))
+    with pytest.raises(ValueError, match="crossing 0 is passed with signs -1 and 1"):
+        OrientedDiagram((((0, True, -1),), ((0, False, 1),)))
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +210,7 @@ def test_surgery_results_pass_the_constructor_checks(resolution_surgeries):
     results = [r for _, _, r in resolution_surgeries]
     assert len(results) > 1000
     for r in results:
-        assert OrientedDiagram(r.crossings, r.components) == r
+        assert OrientedDiagram(r.components) == r
         assert pickle.loads(pickle.dumps(r)) == r
 
 
@@ -202,26 +230,24 @@ def test_surgery_keeps_non_split_diagrams_non_split(resolution_surgeries):
 
 
 def oracle_key(d):
-    """The string memo key that canonical_key's int tuple replaced."""
-    signs = dict(d.crossings)
+    """The string memo key that canonical_key's bytes replaced."""
     relabel: dict[int, int] = {}
     pieces: list[str] = []
     for comp in d.components:
         chunk: list[str] = []
-        for cid, over in comp:
+        for cid, over, sign in comp:
             if cid not in relabel:
                 relabel[cid] = len(relabel)
-            sign = "+" if signs[cid] > 0 else "-"
-            chunk.append(f"{relabel[cid]}{'o' if over else 'u'}{sign}")
+            chunk.append(f"{relabel[cid]}{'o' if over else 'u'}{'+' if sign > 0 else '-'}")
         pieces.append(",".join(chunk))
     return "|".join(pieces)
 
 
 def test_canonical_key_classes_match_the_string_oracle(resolution_surgeries):
-    # Two diagrams share an int-tuple key if and only if they share the
-    # string key, so memoization groups diagrams exactly as before.
-    strings_of: dict[tuple[int, ...], set[str]] = {}
-    keys_of: dict[str, set[tuple[int, ...]]] = {}
+    # Two diagrams share a bytes key if and only if they share the string
+    # key, so memoization groups diagrams exactly as before.
+    strings_of: dict[bytes, set[str]] = {}
+    keys_of: dict[str, set[bytes]] = {}
     for _, d, r in resolution_surgeries:
         for diagram in (d, r):
             key, string = canonical_key(diagram), oracle_key(diagram)
@@ -235,14 +261,13 @@ def test_canonical_key_classes_match_the_string_oracle(resolution_surgeries):
 def test_canonical_key_marks_component_boundaries():
     # The same passage sequence cut into components three ways: the Hopf
     # link, one component through both crossings, and three components.
-    crossings = ((0, 1), (1, 1))
-    seq = ((0, True), (1, False), (0, False), (1, True))
+    seq = ((0, True, 1), (1, False, 1), (0, False, 1), (1, True, 1))
     cuts = [
         (seq[:2], seq[2:]),
         (seq,),
         (seq[:1], seq[1:3], seq[3:]),
     ]
-    keys = {canonical_key(OrientedDiagram(crossings, cut)) for cut in cuts}
+    keys = {canonical_key(OrientedDiagram(cut)) for cut in cuts}
     assert len(keys) == len(cuts)
 
 

@@ -62,7 +62,7 @@ RECORDS = {
 FIELDS = {
     "BraidWord": ("strands", "letters"),
     "SlicedDiagram": ("rows",),
-    "OrientedDiagram": ("crossings", "components"),
+    "OrientedDiagram": ("components",),
     "TensorAssignment": ("dim",) + MATRICES,
     "ReportDocument": ("version", "suite", "cells", "elapsed_seconds"),
 }
@@ -130,13 +130,13 @@ def test_positional_and_keyword_construction_agree(name):
         lambda: BraidWord(0, ()),
         lambda: BraidWord(2, ((2, 1),)),
         lambda: BraidWord(3, ((1, 2),)),
-        lambda: OrientedDiagram(((0, 1),), (((1, True), (1, False)),)),
-        lambda: OrientedDiagram(((0, 1),), (((0, True), (0, True)),)),
-        lambda: OrientedDiagram(((0, 2),), (((0, True), (0, False)),)),
+        lambda: OrientedDiagram((((0, True, 1), (0, True, 1)),)),
+        lambda: OrientedDiagram((((0, True, 2), (0, False, 2)),)),
+        lambda: OrientedDiagram((((0, True, 1), (0, False, -1)),)),
         lambda: TensorAssignment(0, (), (), (), (), (), ()),
         lambda: TensorAssignment(2, *(getattr(lg11_fixture(), n) for n in ("R", "Rinv", "u", "n", "ntilde", "utilde"))),
     ],
-    ids=["no-strands", "index-too-big", "bad-sign", "crossing-ids", "one-sided", "crossing-sign",
+    ids=["no-strands", "index-too-big", "bad-sign", "one-sided", "crossing-sign", "two-signs",
          "dim-0", "wrong-shape"],
 )
 def test_construction_checks_raise_value_error(build):

@@ -153,6 +153,30 @@ def test_integer_digit_bound():
         parse_half("s^-" + "2" * (n + 1))
 
 
+def test_power_digit_bound():
+    # A constant's exponent box is one point, so the term bound passes any
+    # power of it; a power whose coefficients could pass the digit bound is
+    # refused before it runs, for either exponent sign, in the numerator
+    # or the denominator.  Unbounded, 3^10000000 took seconds.
+    huge = "9" * MAX_INTEGER_DIGITS
+    for text in ["3^1000000000", "3^-1000000000", "(3t)^1000000000", "(1/3)^1000000000", "3^" + huge]:
+        with pytest.raises(BudgetError, match="could exceed the bound of 10000 digits"):
+            parse_rational(text)
+    for text in ["3^1000000000", "3^-1000000000", "(2s^3)^1000000000"]:
+        with pytest.raises(BudgetError, match="could exceed the bound of 10000 digits"):
+            parse_half(text)
+    assert parse_rational("3^20000") == RationalFn(Laurent2.const(3**20000))
+    assert parse_half("(-3)^20000") == HalfLaurent.const(3**20000)
+    # A power of a unit monomial is still unbounded.
+    assert parse_rational("(-t)^99999999999999999999") == RationalFn(-t(10**20 - 1))
+    assert parse_rational("t^" + huge) == RationalFn(t(10**MAX_INTEGER_DIGITS - 1))
+    assert parse_half("(-1)^-99999999999999999999") == HalfLaurent.const(-1)
+    # The measured fixture: caps divided by (t + Nq + 3)^4, N of the most
+    # digits an integer may have.
+    x = parse_rational(f"t + {huge}q + 3")
+    assert parse_rational(f"t/(t + {huge}q + 3)^4") == RationalFn(t()) / (x * x * x * x)
+
+
 def test_half_grammar_variables():
     with pytest.raises(ParseError):
         parse_half("q + 1")
